@@ -3,7 +3,7 @@
 One plan representation and one interpreter cover the whole spectrum from
 left-deep binary hash joins to per-variable worst-case optimal joins, with
 pluggable trie dictionaries (hash or sorted) and leaf shapes (offset
-vectors, inline small vectors, contiguous ranges, bare counts).
+vectors, bare-offset singletons, contiguous ranges, bare counts).
 """
 
 from .errors import (
@@ -43,7 +43,7 @@ from .query import (
     validate_plan,
 )
 from .storage import Relation, gen_adversarial_triangle, load_csv, select
-from .trie import LeafSpec, Range, SmallVec, SortedDict, Trie, build_trie
+from .trie import LeafSpec, Range, SortedDict, Trie, build_trie
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "Relation",
     "ResultBag",
     "SchemaError",
-    "SmallVec",
     "SortedDict",
     "SortednessError",
     "StructurePolicy",

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .errors import (
     EngineError,
+    ExecutionError,
     PlanError,
     QueryError,
     SchemaError,
@@ -137,20 +138,26 @@ def _apply_leaf_flag(opts: OptConfig, leaf_flag: str) -> OptConfig:
     """Force a leaf family by adjusting the relevant toggles."""
     if leaf_flag == "auto":
         return opts
-    kw = dict(o3=opts.o3, o5=opts.o5, smallvec_capacity=opts.smallvec_capacity)
+    kw = dict(o3=opts.o3, o5=opts.o5)
     if leaf_flag == "vec":
         return OptConfig(o1=True, o2=False, o4=opts.o4, **kw)
-    if leaf_flag.startswith("smallvec"):
-        cap = 4
-        if ":" in leaf_flag:
-            cap = int(leaf_flag.split(":", 1)[1])
-        kw["smallvec_capacity"] = cap
+    if leaf_flag == "smallvec":
         return OptConfig(o1=True, o2=True, o4=opts.o4, **kw)
     if leaf_flag == "count":
         return OptConfig(o1=opts.o1, o2=opts.o2, o4=True, **kw)
     if leaf_flag == "hashmap":
         return OptConfig(o1=False, o2=False, o4=False, **kw)
     raise PlanError(f"unknown leaf choice {leaf_flag!r}")
+
+
+def _strategy(opts_text: str, leaf_flag: str, dicts_flag: str):
+    """(OptConfig, StructurePolicy) from the flags; a bad value is a
+    validation error, reported before any catalog is loaded."""
+    try:
+        opts = _apply_leaf_flag(OptConfig.from_text(opts_text), leaf_flag)
+        return opts, StructurePolicy(dicts_flag)
+    except ExecutionError as exc:
+        raise PlanError(str(exc)) from None
 
 
 def _result_summary(result, limit: int) -> list[str]:
@@ -189,12 +196,11 @@ def _first_difference(result, reference):
 
 
 def cmd_run(args) -> int:
+    opts, policy = _strategy(args.opts, args.leaf, args.dicts)
     relations = load_catalog(args.catalog)
     q, default_agg = parse_query(_read_text(args.query).strip())
     agg = _resolve_agg(q, default_agg, args.agg)
     plan = _resolve_plan(q, args.plan)
-    opts = _apply_leaf_flag(OptConfig.from_text(args.opts), args.leaf)
-    policy = StructurePolicy(args.dicts)
     result, stats = execute(q, plan, relations, agg, policy, opts)
     for line in _result_summary(result, args.limit):
         print(line)
@@ -220,9 +226,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    relations = load_catalog(args.catalog)
-    q, default_agg = parse_query(_read_text(args.query).strip())
-    agg = _resolve_agg(q, default_agg, args.agg)
     plans = [p for p in args.plans.split(",") if p]
     dicts = [d for d in args.dicts.split(",") if d]
     opt_texts = [o for o in args.opts_list.split(";") if o]
@@ -230,37 +233,38 @@ def cmd_bench(args) -> int:
         raise PlanError("empty strategy matrix: nothing to benchmark")
     if args.repeat < 1:
         raise PlanError("--repeat must be positive")
+    strategies = [(d, _strategy(o, args.leaf, d)) for d in dicts for o in opt_texts]
+    relations = load_catalog(args.catalog)
+    q, default_agg = parse_query(_read_text(args.query).strip())
+    agg = _resolve_agg(q, default_agg, args.agg)
     reference = nested_loop(q, relations, agg) if args.check else None
 
     cells = []
     for plan_flag in plans:
         plan = _resolve_plan(q, plan_flag)
-        for dict_flag in dicts:
-            for opt_text in opt_texts:
-                opts = _apply_leaf_flag(OptConfig.from_text(opt_text), args.leaf)
-                policy = StructurePolicy(dict_flag)
-                build_ms = []
-                exec_ms = []
-                result = stats = None
-                for _ in range(args.repeat):
-                    result, stats = execute(q, plan, relations, agg, policy, opts)
-                    build_ms.append(stats.build_ms)
-                    exec_ms.append(stats.exec_ms)
-                verdict = None
-                if reference is not None:
-                    verdict = "PASS" if result.matches_reference(reference) else "FAIL"
-                cell = {
-                    "plan": plan_flag,
-                    "dicts": dict_flag,
-                    "opts": opts.label(),
-                    "repeat": args.repeat,
-                    "mean_build_ms": round(sum(build_ms) / len(build_ms), 3),
-                    "mean_exec_ms": round(sum(exec_ms) / len(exec_ms), 3),
-                    "stats": stats.to_dict(),
-                }
-                if verdict is not None:
-                    cell["check"] = verdict
-                cells.append(cell)
+        for dict_flag, (opts, policy) in strategies:
+            build_ms = []
+            exec_ms = []
+            result = stats = None
+            for _ in range(args.repeat):
+                result, stats = execute(q, plan, relations, agg, policy, opts)
+                build_ms.append(stats.build_ms)
+                exec_ms.append(stats.exec_ms)
+            verdict = None
+            if reference is not None:
+                verdict = "PASS" if result.matches_reference(reference) else "FAIL"
+            cell = {
+                "plan": plan_flag,
+                "dicts": dict_flag,
+                "opts": opts.label(),
+                "repeat": args.repeat,
+                "mean_build_ms": round(sum(build_ms) / len(build_ms), 3),
+                "mean_exec_ms": round(sum(exec_ms) / len(exec_ms), 3),
+                "stats": stats.to_dict(),
+            }
+            if verdict is not None:
+                cell["check"] = verdict
+            cells.append(cell)
 
     header = f"{'plan':8} {'dicts':8} {'opts':18} {'build_ms':>9} {'exec_ms':>9} " \
              f"{'probes':>9} {'inter':>9} {'out':>9}"
@@ -340,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", required=True, help="catalog file")
         p.add_argument("--query", required=True, help="query file")
         p.add_argument("--leaf", default="auto",
-                       help="auto | vec | smallvec[:N] | count | hashmap")
+                       help="auto | vec | smallvec | count | hashmap")
         p.add_argument("--agg", default=None, help="full | count | min:v1,v2")
-        p.add_argument("--seed", type=int, default=None, help="seed for generators")
 
     p_run = sub.add_parser("run", help="execute one query under one strategy")
     common(p_run)

@@ -9,7 +9,8 @@ the plan emits one satisfying assignment with a multiplicity.
 Optimization toggles:
 
 * O1 -- offset-vector leaves instead of the hash-map baseline
-* O2 -- small-vector leaves with an inline buffer (implies vectors)
+* O2 -- singleton groups stored as a bare offset, larger groups as a list
+  (the ``smallvec`` leaf; implies vectors)
 * O3 -- drop columns that never reach the output or join anything
 * O4 -- count leaves for relations that are only probed, never iterated
 * O5 -- factorized evaluation of a plan's independent tail nodes for
@@ -46,7 +47,6 @@ from .trie import (
     LEAF_VEC,
     SORTED,
     LeafSpec,
-    SortedDict,
     build_trie,
     leaf_offsets,
     leaf_size,
@@ -68,27 +68,26 @@ class OptConfig:
     o3: bool = True
     o4: bool = True
     o5: bool = True
-    smallvec_capacity: int = 4
 
     @classmethod
     def none(cls) -> "OptConfig":
         return cls(False, False, False, False, False)
 
     @classmethod
-    def from_text(cls, text: str, capacity: int = 4) -> "OptConfig":
+    def from_text(cls, text: str) -> "OptConfig":
         """Parse a comma-separated toggle list like ``O1,O3,O5`` (or ``none``)."""
         text = text.strip().lower()
         if text in ("", "none"):
             return cls.none()
         if text == "all":
-            return cls(smallvec_capacity=capacity)
+            return cls()
         on = {"o1": False, "o2": False, "o3": False, "o4": False, "o5": False}
         for tok in text.split(","):
             tok = tok.strip()
             if tok not in on:
                 raise ExecutionError(f"unknown optimization toggle {tok!r}")
             on[tok] = True
-        return cls(on["o1"], on["o2"], on["o3"], on["o4"], on["o5"], capacity)
+        return cls(on["o1"], on["o2"], on["o3"], on["o4"], on["o5"])
 
     def label(self) -> str:
         names = [n for n, v in zip(("O1", "O2", "O3", "O4", "O5"),
@@ -205,14 +204,13 @@ _PROBE = 3
 class _AtomAccess:
     """How one atom's relation is touched by a plan: scan or trie."""
 
-    __slots__ = ("rel", "trie", "spec", "slots", "level_kinds", "probe_only")
+    __slots__ = ("rel", "trie", "spec", "slots", "probe_only")
 
-    def __init__(self, rel, trie, spec, nparts, level_kinds, probe_only):
+    def __init__(self, rel, trie, spec, nparts, probe_only):
         self.rel = rel
         self.trie = trie
         self.spec = spec
         self.slots = [None] * (nparts + 1)
-        self.level_kinds = level_kinds
         self.probe_only = probe_only
 
 
@@ -238,7 +236,7 @@ def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
         if probe_only and opts.o4:
             return LeafSpec(LEAF_COUNT)
         if opts.o2:
-            return LeafSpec(LEAF_SMALLVEC, opts.smallvec_capacity)
+            return LeafSpec(LEAF_SMALLVEC)
         if opts.o1:
             return LeafSpec(LEAF_VEC)
         return LeafSpec(LEAF_HASHMAP)
@@ -303,31 +301,31 @@ def execute(
             )
 
     out_vars = tuple(agg.vars) if agg.vars else tuple(q.head)
-    if agg.kind == AGG_FULL:
-        out_vars = tuple(agg.vars) if agg.vars or not q.head else tuple(q.head)
 
     # An empty relation anywhere empties a conjunctive join.
     if any(relations[a.relation].size == 0 for a in q.atoms):
         return _empty_result(agg, out_vars), stats
 
+    var_attr = {}  # (relation, var) -> attribute, from the original atoms
+    for a in q.atoms:
+        for v, attr in zip(a.vars, relations[a.relation].attrs):
+            var_attr[(a.relation, v)] = attr
+
+    # An int never equals a str, so a join variable bound to columns of both
+    # kinds matches nothing; sorted lookups could not even compare the keys.
+    var_kind: dict[str, str] = {}
+    for (name, v), attr in var_attr.items():
+        kind = relations[name].kind(attr)
+        if var_kind.setdefault(v, kind) != kind:
+            return _empty_result(agg, out_vars), stats
+
     multiplier = 1
+    working = plan
     if opts.o3:
         info = liveness(q, plan, agg)
         working = info.pruned_plan
-        var_attr = {}  # (relation, var) -> attribute, from the original atoms
-        for a in q.atoms:
-            rel = relations[a.relation]
-            for v, attr in zip(a.vars, rel.attrs):
-                var_attr[(a.relation, v)] = attr
         for name in info.dropped_atoms:
             multiplier *= relations[name].size
-    else:
-        working = plan
-        var_attr = {}
-        for a in q.atoms:
-            rel = relations[a.relation]
-            for v, attr in zip(a.vars, rel.attrs):
-                var_attr[(a.relation, v)] = attr
 
     t0 = time.perf_counter()
     accesses: dict[str, _AtomAccess] = {}
@@ -337,7 +335,7 @@ def execute(
         parts = working.subatoms_of(name)
         rel = relations[name]
         if len(parts) == 1 and parts[0][1] == 0:
-            accesses[name] = _AtomAccess(rel, None, None, 1, (), False)
+            accesses[name] = _AtomAccess(rel, None, None, 1, False)
             part_geom[name] = [("scan", 0, 0)]
             continue
         final_iterated = parts[-1][1] == 0
@@ -363,7 +361,7 @@ def execute(
         if final_iterated:
             geom.append(("leaf", pos, ()))
         part_geom[name] = geom
-        accesses[name] = _AtomAccess(rel2, trie, spec, len(parts), kinds, probe_only)
+        accesses[name] = _AtomAccess(rel2, trie, spec, len(parts), probe_only)
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
     # Compile each node into an iterator step plus probe steps.
@@ -457,8 +455,6 @@ def execute(
                 offsets = range(step.acc.rel.size)
             else:
                 offsets = leaf_offsets(step.acc.slots[step.part_idx - 1], step.acc.spec)
-                if not isinstance(offsets, (tuple, range)):
-                    offsets = list(offsets)
             for v, col in watched:
                 branch_min[v] = min(col[off] for off in offsets)
                 stats.min_ops += size

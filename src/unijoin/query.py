@@ -11,7 +11,7 @@ joins, per-variable worst-case optimal joins, and everything in between.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PlanError, QueryError
 
@@ -102,11 +102,6 @@ class FreeJoinPlan:
                 if sub.relation == relation:
                     out.append((ni, pi, sub))
         return out
-
-
-# A left-deep plan is just an atom ordering; join attributes are implicit in
-# the shared variables with the prefix.
-LeftDeepPlan = tuple
 
 
 @dataclass(frozen=True)
@@ -204,11 +199,8 @@ def parse_query(text: str):
                 raise QueryError(f"aggregate variable {v!r} does not appear in the body")
     else:
         head = tuple(v.strip() for v in head_args.split(",")) if head_args else ()
-        cq = ConjunctiveQuery(head, tuple(atoms))
-        if cq.full:
-            return cq, AggregationSpec(AGG_FULL, head)
-        # non-full plain head: bag projection onto the listed variables
-        return cq, AggregationSpec(AGG_FULL, head)
+        # A non-full plain head is a bag projection onto the listed variables.
+        agg = AggregationSpec(AGG_FULL, head)
     return ConjunctiveQuery(head, tuple(atoms)), agg
 
 
@@ -495,12 +487,9 @@ def parse_bushy(text: str) -> "BushyPlan | Atom":
 
 @dataclass
 class LivenessInfo:
-    """Column liveness and offset requirements for one plan."""
+    """A plan with its dead columns pruned, and the atoms pruned entirely."""
 
-    live_per_subatom: dict[tuple[int, int], tuple[str, ...]]
-    needs_offsets: dict[str, bool]
     pruned_plan: FreeJoinPlan
-    dead_vars: frozenset[str]
     dropped_atoms: tuple[str, ...] = ()
 
 
@@ -510,43 +499,31 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
     A variable is live when it reaches the output (head or aggregate) or
     joins two atoms.  Dead variables are dropped from their subatoms; a
     subatom left empty disappears, and if it was a node's iteration source
-    the node's probes move back to the previous node.  A relation needs
-    offsets only when some node iterates its leaf groups to read columns.
+    the node's probes move back to the previous node.
     """
-    out_vars = set(agg.vars) if agg.kind != AGG_FULL else set(agg.vars or q.head)
-    if agg.kind == AGG_FULL and not agg.vars:
-        out_vars = set(q.head)
+    out_vars = set(agg.vars or q.head) if agg.kind == AGG_FULL else set(agg.vars)
     var_atoms: dict[str, int] = {}
     for a in q.atoms:
         for v in a.vars:
             var_atoms[v] = var_atoms.get(v, 0) + 1
     live = {v for v, n in var_atoms.items() if n > 1} | out_vars
-    dead = frozenset(v for v in var_atoms if v not in live)
 
-    live_map: dict[tuple[int, int], tuple[str, ...]] = {}
     new_nodes: list[list[Subatom]] = []
-    dropped: list[str] = []
-    for ni, node in enumerate(plan.nodes):
+    for node in plan.nodes:
         cur: list[Subatom] = []
+        source_pruned = False
         for pi, sub in enumerate(node):
             kept = tuple(v for v in sub.vars if v in live)
-            live_map[(ni, pi)] = kept
             if kept or not sub.vars:
                 cur.append(Subatom(sub.relation, kept))
             elif pi == 0:
-                # Iteration source vanished: node collapses into the
-                # previous node's probe list.
-                pass
-            else:
-                dropped.append(sub.relation)
+                source_pruned = True
         if not cur:
             continue
-        if node and live_map[(ni, 0)] == () and node[0].vars:
-            # first subatom was pruned away; remaining probes attach earlier
-            if new_nodes:
-                new_nodes[-1].extend(cur)
-            else:
-                new_nodes.append(cur)
+        if source_pruned and new_nodes:
+            # Iteration source vanished: the node's probes attach to the
+            # previous node.
+            new_nodes[-1].extend(cur)
         else:
             new_nodes.append(cur)
     pruned = FreeJoinPlan(tuple(tuple(n) for n in new_nodes))
@@ -556,20 +533,4 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
     remaining = {s.relation for node in pruned.nodes for s in node}
     fully_dropped = tuple(a.relation for a in q.atoms if a.relation not in remaining)
 
-    needs = {a.relation: _needs_offsets(pruned, a.relation) for a in q.atoms}
-    return LivenessInfo(live_map, needs, pruned, dead, fully_dropped)
-
-
-def _needs_offsets(plan: FreeJoinPlan, relation: str) -> bool:
-    """True when the plan iterates this relation's stored row offsets.
-
-    Scanned relations (a single subatom that opens a node) stream their rows
-    and store nothing; probe-only relations never leave their key levels.
-    """
-    parts = plan.subatoms_of(relation)
-    if not parts:
-        return False
-    if len(parts) == 1 and parts[0][1] == 0:
-        return False  # direct scan
-    last_ni, last_pi, _ = parts[-1]
-    return last_pi == 0
+    return LivenessInfo(pruned, fully_dropped)

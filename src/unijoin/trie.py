@@ -1,4 +1,4 @@
-"""Trie levels and leaves: hash and sorted dictionaries, four leaf shapes.
+"""Trie levels and leaves: hash and sorted dictionaries, five leaf shapes.
 
 A trie indexes a relation by an ordered list of key attributes.  Internal
 levels are dictionaries from attribute value to child; the leaf under a full
@@ -7,9 +7,9 @@ representations:
 
 * ``hashmap`` -- dict offset -> 1, the naive baseline (optimizations off)
 * ``vec``     -- plain list of offsets
-* ``smallvec``-- inline-capacity vector; singleton groups are stored as the
-  bare offset in the parent slot and promoted to a SmallVec container on the
-  second insertion (group-of-one keys are the common case for key joins)
+* ``smallvec``-- a singleton group is the bare offset in the parent slot,
+  promoted to a plain list on the second insertion (group-of-one keys are
+  the common case for key joins)
 * ``range``   -- (left, right) inclusive bounds, legal only when equal keys
   occupy a contiguous ascending run, i.e. the relation is sorted by the keys
 * ``count``   -- just the group multiplicity, for join-only relations
@@ -39,62 +39,6 @@ LEAF_COUNT = "count"
 @dataclass(frozen=True)
 class LeafSpec:
     kind: str
-    capacity: int = 4  # inline capacity, smallvec only
-
-    def __post_init__(self):
-        if self.kind == LEAF_SMALLVEC and self.capacity < 1:
-            raise ExecutionError("smallvec inline capacity must be >= 1")
-
-
-class SmallVec:
-    """Vector with a fixed inline buffer that spills to a heap list.
-
-    The first ``capacity`` insertions land in the inline buffer; the next
-    insertion copies everything to an ordinary list and appends there from
-    then on.  Iteration order and contents always match a plain list under
-    the same insertion sequence.
-    """
-
-    __slots__ = ("stack", "n", "heap")
-
-    def __init__(self, capacity: int = 4):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.stack = [None] * capacity
-        self.n = 0
-        self.heap = None
-
-    @property
-    def capacity(self) -> int:
-        return len(self.stack)
-
-    @property
-    def spilled(self) -> bool:
-        return self.heap is not None
-
-    def append(self, value) -> None:
-        heap = self.heap
-        if heap is not None:
-            heap.append(value)
-            return
-        stack = self.stack
-        n = self.n
-        if n < len(stack):
-            stack[n] = value
-            self.n = n + 1
-        else:
-            self.heap = heap = stack[:n]
-            heap.append(value)
-
-    def __len__(self) -> int:
-        heap = self.heap
-        return len(heap) if heap is not None else self.n
-
-    def __iter__(self):
-        heap = self.heap
-        if heap is not None:
-            return iter(heap)
-        return iter(self.stack[: self.n])
 
 
 class Range:
@@ -201,9 +145,7 @@ class Trie:
             if depth == len(self.levels):
                 out[prefix] = node
                 return
-            kind = self.levels[depth][1]
-            entries = node.items() if kind == SORTED else node.items()
-            for key, child in entries:
+            for key, child in node.items():
                 walk(child, depth + 1, prefix + (key,))
 
         walk(self.root, 0, ())
@@ -222,17 +164,6 @@ class Trie:
                 if node is _MISSING:
                     return None
         return node
-
-    def dump(self) -> str:
-        """One line per root-to-leaf path, keys in iteration order."""
-        lines = []
-        for path, leaf in self.paths().items():
-            key = "/".join(str(k) for k in path)
-            if self.leaf.kind == LEAF_COUNT:
-                lines.append(f"{key} -> count:{leaf}")
-            else:
-                lines.append(f"{key} -> {list(leaf_offsets(leaf, self.leaf))}")
-        return "\n".join(lines)
 
 
 def leaf_offsets(leaf, spec: LeafSpec):
@@ -307,13 +238,8 @@ def _zero_level_leaf(leaf: LeafSpec, size: int):
         for i in range(1, size):
             r.extend(i)
         return r
-    if kind == LEAF_SMALLVEC:
-        if size == 1:
-            return 0
-        sv = SmallVec(leaf.capacity)
-        for i in range(size):
-            sv.append(i)
-        return sv
+    if kind == LEAF_SMALLVEC and size == 1:
+        return 0
     return list(range(size))
 
 
@@ -330,22 +256,12 @@ def _build_hash1(col, leaf: LeafSpec):
             else:
                 group.append(off)
     elif kind == LEAF_SMALLVEC:
-        cap = leaf.capacity
-        new = object.__new__
-        sv_cls = SmallVec
         for off, k in enumerate(col):
             group = get(k, _MISSING)
             if group is _MISSING:
                 root[k] = off  # singleton stored inline
             elif group.__class__ is int:
-                sv = new(sv_cls)
-                stack = [None] * cap
-                stack[0] = group
-                sv.stack = stack
-                sv.n = 1
-                sv.heap = None
-                sv.append(off)
-                root[k] = sv
+                root[k] = [group, off]
             else:
                 group.append(off)
     elif kind == LEAF_COUNT:
@@ -379,29 +295,29 @@ def _build_generic(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec):
                 else:
                     child = _MISSING
                 if child is _MISSING:
-                    child = _fresh_leaf(kind, leaf, off) if is_last else _new_dict(dict_kind)
+                    child = _fresh_leaf(kind, off) if is_last else _new_dict(dict_kind)
                     node.append(key, child)
                     if is_last:
                         break
                 elif is_last:
-                    node.set_last(_leaf_insert(child, kind, leaf, off, node))
+                    node.set_last(_leaf_insert(child, kind, off))
                     break
                 node = child
             else:
                 child = node.get(key, _MISSING)
                 if child is _MISSING:
-                    child = _fresh_leaf(kind, leaf, off) if is_last else _new_dict(dict_kind)
+                    child = _fresh_leaf(kind, off) if is_last else _new_dict(dict_kind)
                     node[key] = child
                     if is_last:
                         break
                 elif is_last:
-                    node[key] = _leaf_insert(child, kind, leaf, off, node)
+                    node[key] = _leaf_insert(child, kind, off)
                     break
                 node = child
     return root
 
 
-def _fresh_leaf(kind: str, spec: LeafSpec, off: int):
+def _fresh_leaf(kind: str, off: int):
     if kind == LEAF_COUNT:
         return 1
     if kind == LEAF_VEC:
@@ -413,19 +329,13 @@ def _fresh_leaf(kind: str, spec: LeafSpec, off: int):
     return {off: 1}
 
 
-def _leaf_insert(leaf, kind: str, spec: LeafSpec, off: int, _node):
+def _leaf_insert(leaf, kind: str, off: int):
     """Insert into an existing leaf; returns the (possibly replaced) leaf."""
     if kind == LEAF_COUNT:
         return leaf + 1
-    if kind == LEAF_VEC:
-        leaf.append(off)
-        return leaf
-    if kind == LEAF_SMALLVEC:
-        if leaf.__class__ is int:
-            sv = SmallVec(spec.capacity)
-            sv.append(leaf)
-            sv.append(off)
-            return sv
+    if kind == LEAF_SMALLVEC and leaf.__class__ is int:
+        return [leaf, off]
+    if kind == LEAF_VEC or kind == LEAF_SMALLVEC:
         leaf.append(off)
         return leaf
     if kind == LEAF_RANGE:

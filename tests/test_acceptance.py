@@ -137,19 +137,20 @@ def test_criterion_3_asymptotic_separation():
 
 
 def test_criterion_4_data_structure_differential():
-    """Leaf shapes are observationally equivalent across the inline-capacity
+    """Leaf shapes are observationally equivalent across the singleton
     boundary; sorted and hash lookups agree; ranges reconstruct the
     relation; sorted lookups respect the binary-search comparison bound."""
     rng = random.Random(7)
 
-    # SmallVec vs plain vector across the capacity boundary.
+    # Bare-int singletons and promoted lists vs plain vector across the
+    # singleton boundary.
     for cap in (1, 2, 4, 8):
         for n in (cap - 1, cap, cap + 1):
             rows = sorted((0, rng.randrange(50)) for _ in range(max(n, 1)))
             rel = Relation.from_rows("R", ("a", "b"), rows, sorted_by=("a", "b"))
             from unijoin.trie import LEAF_SMALLVEC, leaf_offsets
 
-            sv = build_trie(rel, ("a",), HASH, LeafSpec(LEAF_SMALLVEC, cap))
+            sv = build_trie(rel, ("a",), HASH, LeafSpec(LEAF_SMALLVEC))
             vec = build_trie(rel, ("a",), HASH, LeafSpec(LEAF_VEC))
             for path, leaf in vec.paths().items():
                 other = sv.paths()[path]

@@ -100,10 +100,36 @@ class TestRun:
         assert code == 1
 
     def test_leaf_flag(self, workspace, capsys):
-        for leaf in ("vec", "smallvec:2", "hashmap", "count"):
+        for leaf in ("vec", "smallvec", "hashmap", "count"):
             assert self.run(
                 workspace, "--leaf", leaf, "--check", "--stats", "none"
             ) == 0
+
+
+BAD_FLAGS = (
+    ("--opts", "O9"),
+    ("--dicts", "bogus"),
+    ("--leaf", "smallvec:2"),
+    ("--leaf", "smallvec:abc"),
+)
+
+
+@pytest.mark.parametrize("command", ("run", "bench"))
+@pytest.mark.parametrize("flag,value", BAD_FLAGS)
+def test_bad_flag_exit_2(workspace, capsys, command, flag, value):
+    if command == "bench" and flag == "--opts":
+        flag = "--opts-list"
+    code = main(
+        [
+            command,
+            "--catalog", str(workspace / "catalog.txt"),
+            "--query", str(workspace / "query.txt"),
+            flag, value,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBench:

@@ -18,8 +18,12 @@ from unijoin.executor import (
 )
 from unijoin.oracle import nested_loop
 from unijoin.query import (
+    AGG_COUNT,
+    AGG_FULL,
+    AGG_MIN,
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
+    AggregationSpec,
     convert_left_deep,
     optimize_plan,
     parse_bushy,
@@ -256,6 +260,26 @@ class TestEdgeCases:
         plan = convert_left_deep(q, ("R",))
         with pytest.raises(ExecutionError):
             execute(q, plan, {"R": rel("R", ("a", "b"), [(1, 2)])}, agg)
+
+    def test_mixed_kind_join_variable_matches_nothing(self):
+        # b is an int column in R and a str column in S.
+        q, _ = parse_query("Q(a,b,c) :- R(a,b), S(b,c)")
+        rels = {
+            "R": rel("R", ("a", "b"), [(1, 10), (2, 20)]),
+            "S": rel("S", ("a", "b"), [("10", 7), ("20", 8)]),
+        }
+        aggs = (
+            AggregationSpec(AGG_FULL, q.head),
+            AggregationSpec(AGG_COUNT, ()),
+            AggregationSpec(AGG_MIN, ("a",)),
+        )
+        for agg in aggs:
+            reference = nested_loop(q, rels, agg)
+            for plan in plans_for(q):
+                for policy in POLICIES:
+                    result, _ = execute(q, plan, rels, agg, policy)
+                    assert result.empty
+                    assert result.matches_reference(reference)
 
     def test_duplicates_multiply(self):
         q, agg = parse_query("Q(x) :- R(x), S(x)")

@@ -163,27 +163,18 @@ class TestConvertLeftDeep:
 
 
 class TestLiveness:
-    def test_dead_vars_pruned(self):
+    def test_dead_columns_pruned(self):
         q, agg = parse_query("Q(COUNT) :- R(x,a), S(x,b), T(x)")
         plan = convert_left_deep(q, ("R", "S", "T"))
         info = liveness(q, plan, agg)
-        assert info.dead_vars == {"a", "b"}
         assert str(info.pruned_plan) == "R(x), S(x), T(x)"
         assert plan_violation(q, info.pruned_plan) is None or True  # pruned plan
-        assert not any(info.needs_offsets.values())
 
     def test_head_vars_live(self):
         q, agg = parse_query("Q(x,a,b) :- R(x,a), S(x,b), T(x)")
         plan = convert_left_deep(q, ("R", "S", "T"))
         info = liveness(q, plan, agg)
-        assert info.dead_vars == frozenset()
-
-    def test_needs_offsets(self):
-        q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
-        plan = convert_left_deep(q, ("R", "S", "T"))
-        info = liveness(q, plan, agg)
-        # R is scanned, S iterates its leaf groups, T is probe-only.
-        assert info.needs_offsets == {"R": False, "S": True, "T": False}
+        assert info.pruned_plan == plan
 
 
 class TestBushy:

@@ -22,7 +22,6 @@ from unijoin.trie import (
     SORTED,
     LeafSpec,
     Range,
-    SmallVec,
     SortedDict,
     build_trie,
     leaf_offsets,
@@ -48,24 +47,6 @@ def trie_contents(trie):
 
 
 ALL_OFFSET_LEAVES = (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC)
-
-
-class TestSmallVec:
-    def test_matches_list_across_boundary(self):
-        for cap in (1, 2, 4, 7):
-            for n in (cap - 1, cap, cap + 1, cap + 5):
-                sv = SmallVec(cap)
-                ref = []
-                for i in range(max(n, 0)):
-                    sv.append(i * 3)
-                    ref.append(i * 3)
-                assert list(sv) == ref
-                assert len(sv) == len(ref)
-                assert sv.spilled == (len(ref) > cap)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            SmallVec(0)
 
 
 class TestRange:
@@ -133,8 +114,7 @@ class TestBuildTrie:
             rel = rand_sorted_relation(rng, rng.randrange(0, 50), 6)
             views = []
             for kind in ALL_OFFSET_LEAVES:
-                spec = LeafSpec(kind, capacity=rng.choice((1, 2, 4)))
-                views.append(trie_contents(build_trie(rel, ("a",), HASH, spec)))
+                views.append(trie_contents(build_trie(rel, ("a",), HASH, LeafSpec(kind))))
             assert views[0] == views[1] == views[2]
 
     def test_sorted_matches_hash(self):
@@ -199,4 +179,6 @@ class TestBuildTrie:
         assert leaf_size(5, LeafSpec(LEAF_COUNT)) == 5
         assert leaf_size(7, LeafSpec(LEAF_SMALLVEC)) == 1  # inline singleton
         assert list(leaf_offsets(7, LeafSpec(LEAF_SMALLVEC))) == [7]
+        assert leaf_size([7, 9], LeafSpec(LEAF_SMALLVEC)) == 2  # promoted group
+        assert list(leaf_offsets([7, 9], LeafSpec(LEAF_SMALLVEC))) == [7, 9]
         assert leaf_size({3: 1, 4: 1}, LeafSpec(LEAF_HASHMAP)) == 2
