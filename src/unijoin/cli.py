@@ -40,6 +40,7 @@ from .errors import (
     SortednessError,
 )
 from .executor import (
+    POLICY_EXPLICIT,
     OptConfig,
     StructurePolicy,
     check_against_oracle,
@@ -152,7 +153,10 @@ def _apply_leaf_flag(opts: OptConfig, leaf_flag: str) -> OptConfig:
 
 def _strategy(opts_text: str, leaf_flag: str, dicts_flag: str):
     """(OptConfig, StructurePolicy) from the flags; a bad value is a
-    validation error, reported before any catalog is loaded."""
+    validation error, reported before any catalog is loaded.  ``explicit``
+    is refused: the command line cannot give its per-relation choices."""
+    if dicts_flag == POLICY_EXPLICIT:
+        raise PlanError("--dicts explicit: the command line cannot give per-relation choices")
     try:
         opts = _apply_leaf_flag(OptConfig.from_text(opts_text), leaf_flag)
         return opts, StructurePolicy(dicts_flag)
@@ -197,6 +201,8 @@ def _first_difference(result, reference):
 
 def cmd_run(args) -> int:
     opts, policy = _strategy(args.opts, args.leaf, args.dicts)
+    if args.limit < 0:
+        raise PlanError(f"--limit must be non-negative, got {args.limit}")
     relations = load_catalog(args.catalog)
     q, default_agg = parse_query(_read_text(args.query).strip())
     agg = _resolve_agg(q, default_agg, args.agg)

@@ -1,10 +1,17 @@
 """Unified plan interpreter.
 
-One recursive evaluator runs every plan in the spectrum: each plan node
-iterates its first subatom (a relation scan, a walk over trie keys, or a
-walk over a leaf's row offsets) and probes the remaining subatoms into
-their tries.  Bindings accumulate down the node list; reaching the end of
-the plan emits one satisfying assignment with a multiplicity.
+One evaluator runs every plan in the spectrum.  Before execution each plan
+node is compiled into a source and a flat tuple of probes.  The source is
+what the node's first subatom iterates: the row offsets of a relation scan
+or of a leaf, or the key paths of one or more trie levels.  At run time
+every node runs the same iterate-then-probe loop: per item it binds the
+source's variables, then descends each probe's trie levels (a dict lookup,
+or ``bisect`` on a sorted dictionary) and recurses into the next node when
+all hit.  Bindings accumulate down the node list; reaching the end of the
+plan emits one satisfying assignment with a multiplicity.  The probe,
+hit, comparison and intermediate counters are kept in local ints and added
+to ``ExecStats`` once per execution; a sorted lookup over k keys counts
+``k.bit_length()`` comparisons.
 
 Optimization toggles:
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 from .errors import ExecutionError
@@ -194,39 +202,48 @@ def _empty_result(agg: AggregationSpec, out_vars) -> ResultBag:
     return ResultBag(AGG_FULL, vars=tuple(out_vars), tuples={})
 
 
-# Access modes for one atom under one plan.
+# What a plan node's first subatom iterates.
 _SCAN = 0
 _ITER_KEYS = 1
 _ITER_LEAF = 2
-_PROBE = 3
 
 
 class _AtomAccess:
-    """How one atom's relation is touched by a plan: scan or trie."""
+    """How one atom's relation is touched by a plan: a scan (``spec`` is
+    None) or a trie.  ``slots[i]`` is the trie node subatom ``i`` starts
+    from: the root for ``i == 0``, else the node subatom ``i - 1`` reached."""
 
-    __slots__ = ("rel", "trie", "spec", "slots", "probe_only")
+    __slots__ = ("rel", "spec", "slots")
 
-    def __init__(self, rel, trie, spec, nparts, probe_only):
+    def __init__(self, rel, root, spec, nparts):
         self.rel = rel
-        self.trie = trie
         self.spec = spec
-        self.slots = [None] * (nparts + 1)
-        self.probe_only = probe_only
+        self.slots = [root] + [None] * nparts
 
 
-class _Step:
-    """One subatom, compiled: who to touch, which mode, which trie levels."""
+def _key_paths(node, depth):
+    """(key path, child) for every path ``depth`` trie levels below ``node``,
+    in key order, expanded one level at a time (no recursion)."""
+    pairs = [((), node)]
+    for _ in range(depth):
+        pairs = [(path + (key,), child) for path, n in pairs for key, child in n.items()]
+    return pairs
 
-    __slots__ = ("mode", "acc", "vars", "cols", "part_idx", "kinds", "is_final")
 
-    def __init__(self, mode, acc, vars_, cols=None, part_idx=0, kinds=(), is_final=False):
-        self.mode = mode
-        self.acc = acc
-        self.vars = vars_
-        self.cols = cols
-        self.part_idx = part_idx
-        self.kinds = kinds
-        self.is_final = is_final
+def _source(mode, acc, idx, bind):
+    """(items, count) a node's first subatom iterates: row offsets, or
+    (key, child) pairs of one trie level (``bind`` is its variable) or
+    (key path, child) pairs of several."""
+    if mode == _SCAN:
+        return range(acc.rel.size), acc.rel.size
+    node = acc.slots[idx]
+    if mode == _ITER_LEAF:
+        offsets = leaf_offsets(node, acc.spec)
+        return offsets, len(offsets)
+    if bind.__class__ is str:
+        return node.items(), len(node)
+    paths = _key_paths(node, len(bind))
+    return paths, len(paths)
 
 
 def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
@@ -329,14 +346,16 @@ def execute(
 
     t0 = time.perf_counter()
     accesses: dict[str, _AtomAccess] = {}
-    part_geom: dict[str, list] = {}  # relation -> per-part (kind, level slice)
+    # relation -> per part: ((var, is_sorted), ...) per trie level it
+    # descends, or None for the part that iterates rows (scan or leaf).
+    part_levels: dict[str, list] = {}
     rels_in_plan = {s.relation for node in working.nodes for s in node}
     for name in sorted(rels_in_plan):
         parts = working.subatoms_of(name)
         rel = relations[name]
         if len(parts) == 1 and parts[0][1] == 0:
-            accesses[name] = _AtomAccess(rel, None, None, 1, False)
-            part_geom[name] = [("scan", 0, 0)]
+            accesses[name] = _AtomAccess(rel, None, None, 1)
+            part_levels[name] = [None]
             continue
         final_iterated = parts[-1][1] == 0
         key_parts = parts[:-1] if final_iterated else parts
@@ -352,59 +371,63 @@ def execute(
         stats.trie_build_insertions += trie.insertions
         if name in intermediate_names:
             stats.deep_intermediate_tries += 1
-        kinds = tuple(k for _, k in trie.levels)
-        geom = []
+        is_sorted = [k == SORTED for _, k in trie.levels]
+        per_part = []
         pos = 0
         for _, _, sub in key_parts:
-            geom.append(("keys", pos, kinds[pos : pos + len(sub.vars)]))
+            per_part.append(tuple(zip(sub.vars, is_sorted[pos : pos + len(sub.vars)])))
             pos += len(sub.vars)
         if final_iterated:
-            geom.append(("leaf", pos, ()))
-        part_geom[name] = geom
-        accesses[name] = _AtomAccess(rel2, trie, spec, len(parts), probe_only)
+            per_part.append(None)
+        part_levels[name] = per_part
+        accesses[name] = _AtomAccess(rel2, trie.root, spec, len(parts))
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
-    # Compile each node into an iterator step plus probe steps.
+    # Compile each node into (mode, access, part index, bind, probes), bind
+    # being (var, column) pairs for row offsets, else the key variable(s).  A
+    # probe is (slots, part index, levels, leaf spec or None): it descends
+    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``, where a single
+    # hash level is just its variable; the spec is set for an atom's final,
+    # probe-only part, whose group size multiplies.
     part_counter: dict[str, int] = {}
-    nodes_steps: list[list[_Step]] = []
-    for node in working.nodes:
-        steps: list[_Step] = []
-        for pi, sub in enumerate(node):
-            acc = accesses[sub.relation]
-            idx = part_counter.get(sub.relation, 0)
-            part_counter[sub.relation] = idx + 1
-            if acc.trie is None:
-                cols = tuple(
-                    acc.rel.columns[var_attr[(sub.relation, v)]] for v in sub.vars
-                )
-                steps.append(_Step(_SCAN, acc, sub.vars, cols))
-                continue
-            geom_kind, _, kinds = part_geom[sub.relation][idx]
-            is_final = idx == len(part_geom[sub.relation]) - 1
-            if pi == 0:
-                if geom_kind == "leaf":
-                    cols = tuple(
-                        acc.rel.columns[var_attr[(sub.relation, v)]] for v in sub.vars
-                    )
-                    steps.append(_Step(_ITER_LEAF, acc, sub.vars, cols, idx))
-                else:
-                    steps.append(_Step(_ITER_KEYS, acc, sub.vars, None, idx, kinds))
-            else:
-                steps.append(_Step(_PROBE, acc, sub.vars, None, idx, kinds, is_final))
-        nodes_steps.append(steps)
+
+    def part(sub):
+        idx = part_counter.get(sub.relation, 0)
+        part_counter[sub.relation] = idx + 1
+        return accesses[sub.relation], idx, part_levels[sub.relation]
+
+    nodes = []
+    for first, *rest in working.nodes:
+        probes = []
+        for sub in rest:
+            acc, idx, per_part = part(sub)
+            final = idx == len(per_part) - 1
+            levels = per_part[idx]
+            if len(levels) == 1 and not levels[0][1]:
+                levels = levels[0][0]
+            probes.append((acc.slots, idx, levels, acc.spec if final else None))
+        acc, idx, per_part = part(first)
+        if per_part[idx] is None:  # bind from the rows at each offset
+            mode = _SCAN if acc.spec is None else _ITER_LEAF
+            bind = tuple(
+                (v, acc.rel.columns[var_attr[(first.relation, v)]]) for v in first.vars
+            )
+        else:
+            mode = _ITER_KEYS
+            bind = first.vars[0] if len(first.vars) == 1 else first.vars
+        nodes.append((mode, acc, idx, bind, tuple(probes)))
 
     # A trailing run of single-subatom nodes whose iterator is terminal
     # (leaf offsets or a full scan) touches nothing downstream, so count and
     # min aggregates can combine those loops instead of nesting them.
-    n_nodes = len(nodes_steps)
+    n_nodes = len(nodes)
     suffix_start = n_nodes
     if opts.o5 and agg.kind in (AGG_COUNT, AGG_MIN):
         while suffix_start > 0:
-            node = nodes_steps[suffix_start - 1]
-            if len(node) != 1 or node[0].mode not in (_SCAN, _ITER_LEAF):
+            mode, _, _, _, probes = nodes[suffix_start - 1]
+            if probes or mode == _ITER_KEYS:
                 break
             suffix_start -= 1
-    suffix_steps = [nodes_steps[i][0] for i in range(suffix_start, n_nodes)]
 
     binding: dict[str, object] = {}
     bag: dict[tuple, int] = {}
@@ -431,33 +454,23 @@ def execute(
     def finish_factorized(mult: int):
         nonlocal count, minima
         total = mult
-        sizes = []
-        for step in suffix_steps:
-            if step.mode == _SCAN:
-                size = step.acc.rel.size
-            else:
-                leaf = step.acc.slots[step.part_idx - 1]
-                size = leaf_size(leaf, step.acc.spec)
-            if size == 0:
+        branches = []
+        for mode, acc, idx, bind, _ in nodes[suffix_start:]:
+            offsets, size = _source(mode, acc, idx, bind)
+            if not size:
                 return
-            sizes.append(size)
+            branches.append((offsets, bind))
             total *= size
         stats.output_tuples += total
         if agg.kind == AGG_COUNT:
             count += total
             return
         branch_min: dict[str, object] = {}
-        for step, size in zip(suffix_steps, sizes):
-            watched = [(v, c) for v, c in zip(step.vars, step.cols or ()) if v in agg_vars]
-            if not watched:
-                continue
-            if step.mode == _SCAN:
-                offsets = range(step.acc.rel.size)
-            else:
-                offsets = leaf_offsets(step.acc.slots[step.part_idx - 1], step.acc.spec)
-            for v, col in watched:
-                branch_min[v] = min(col[off] for off in offsets)
-                stats.min_ops += size
+        for offsets, bind in branches:
+            for v, col in bind:
+                if v in agg_vars:
+                    branch_min[v] = min(col[off] for off in offsets)
+                    stats.min_ops += len(offsets)
         vals = [branch_min[v] if v in branch_min else binding[v] for v in agg_vars]
         if minima is None:
             minima = vals
@@ -470,100 +483,71 @@ def execute(
     else:
         finish = emit
 
-    def probe(step: _Step) -> int | None:
-        """Descend one subatom's trie levels; None on miss, else a
-        multiplicity factor (the leaf group size for a final probe)."""
-        acc = step.acc
-        node = acc.trie.root if step.part_idx == 0 else acc.slots[step.part_idx - 1]
-        for v, kind in zip(step.vars, step.kinds):
-            key = binding[v]
-            stats.probes += 1
-            if kind == SORTED:
-                child, comps = node.find(key)
-                stats.comparisons += comps
-                if child is _MISSING:
-                    return None
-            else:
-                child = node.get(key, _MISSING)
-                if child is _MISSING:
-                    return None
-            stats.probe_hits += 1
-            node = child
-        acc.slots[step.part_idx] = node
-        if step.is_final and acc.probe_only:
-            return leaf_size(node, acc.spec)
-        return 1
-
-    def iter_keys(node, vars_, depth):
-        if depth == len(vars_):
-            yield node
-            return
-        v = vars_[depth]
-        for key, child in node.items():
-            binding[v] = key
-            yield from iter_keys(child, vars_, depth + 1)
+    n_probes = n_hits = n_comps = n_inter = 0
 
     def run(ni: int, mult: int):
+        """Iterate node ``ni``'s source; per item, bind its variables, probe
+        the other subatoms in order and, if all hit, recurse with the product
+        of the probe-only group sizes."""
+        nonlocal n_probes, n_hits, n_comps, n_inter
         if ni == suffix_start:
             finish(mult)
             return
-        steps = nodes_steps[ni]
-        first = steps[0]
-        probes_ = steps[1:]
-        counting = ni >= 1
-        acc = first.acc
-        if first.mode == _SCAN:
-            vars_, cols = first.vars, first.cols
-            for off in range(acc.rel.size):
-                if counting:
-                    stats.intermediate_tuples += 1
-                for v, c in zip(vars_, cols):
-                    binding[v] = c[off]
-                m = mult
-                for p in probes_:
-                    f = probe(p)
-                    if f is None:
-                        m = 0
+        mode, acc, idx, bind, probes = nodes[ni]
+        items, size = _source(mode, acc, idx, bind)
+        if ni:
+            n_inter += size
+        slots, out = acc.slots, idx + 1
+        for item in items:
+            if mode == _ITER_KEYS:
+                key, slots[out] = item
+                if bind.__class__ is str:
+                    binding[bind] = key
+                else:
+                    for v, k in zip(bind, key):
+                        binding[v] = k
+            else:
+                for v, col in bind:
+                    binding[v] = col[item]
+            m = mult
+            for pslots, pidx, levels, spec in probes:
+                node = pslots[pidx]
+                if levels.__class__ is str:  # one hash level, the common case
+                    n_probes += 1
+                    node = node.get(binding[levels], _MISSING)
+                    if node is _MISSING:
                         break
-                    m *= f
-                if m:
-                    run(ni + 1, m)
-        elif first.mode == _ITER_LEAF:
-            leaf = acc.slots[first.part_idx - 1]
-            vars_, cols = first.vars, first.cols
-            for off in leaf_offsets(leaf, acc.spec):
-                if counting:
-                    stats.intermediate_tuples += 1
-                for v, c in zip(vars_, cols):
-                    binding[v] = c[off]
-                m = mult
-                for p in probes_:
-                    f = probe(p)
-                    if f is None:
-                        m = 0
+                    n_hits += 1
+                else:
+                    for v, is_sorted in levels:
+                        key = binding[v]
+                        n_probes += 1
+                        if is_sorted:
+                            keys = node.keys
+                            n = len(keys)
+                            n_comps += n.bit_length()
+                            i = bisect_left(keys, key)
+                            node = node.values[i] if i < n and keys[i] == key else _MISSING
+                        else:
+                            node = node.get(key, _MISSING)
+                        if node is _MISSING:
+                            break
+                        n_hits += 1
+                    if node is _MISSING:
                         break
-                    m *= f
-                if m:
-                    run(ni + 1, m)
-        else:  # _ITER_KEYS
-            start = acc.trie.root if first.part_idx == 0 else acc.slots[first.part_idx - 1]
-            for child in iter_keys(start, first.vars, 0):
-                if counting:
-                    stats.intermediate_tuples += 1
-                acc.slots[first.part_idx] = child
-                m = mult
-                for p in probes_:
-                    f = probe(p)
-                    if f is None:
-                        m = 0
-                        break
-                    m *= f
-                if m:
-                    run(ni + 1, m)
+                pslots[pidx + 1] = node
+                if spec is not None:
+                    m *= leaf_size(node, spec)
+            else:
+                run(ni + 1, m)
 
     t1 = time.perf_counter()
     run(0, multiplier)
     stats.exec_ms += (time.perf_counter() - t1) * 1000.0
+    stats.probes += n_probes
+    stats.probe_hits += n_hits
+    stats.comparisons += n_comps
+    stats.intermediate_tuples += n_inter
 
     if agg.kind == AGG_COUNT:
         return ResultBag(AGG_COUNT, count=count), stats

@@ -15,12 +15,15 @@ representations:
 * ``count``   -- just the group multiplicity, for join-only relations
 
 Dictionaries come in two kinds: ``hash`` (a plain dict) and ``sorted``
-(append-only association lists looked up by binary search).  Built tries are
+(append-only association lists looked up with ``bisect``).  A sorted lookup
+over k keys is charged ``k.bit_length()`` comparisons, the most that
+``bisect_left`` makes, whether the key is found or not.  Built tries are
 immutable; builders are single-writer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ExecutionError, SortednessError
@@ -71,9 +74,10 @@ class SortedDict:
     """Association list with keys in non-decreasing insertion order.
 
     Insertions may only touch the largest key (append a new one or revisit
-    the last); lookups binary-search the key list.  ``find`` returns the
-    value together with the number of key comparisons spent, so callers can
-    account for sorted-lookup cost.
+    the last); lookups run ``bisect_left`` over the key list.  ``find``
+    returns the value together with the comparisons charged for it:
+    ``len(keys).bit_length()``, bisect's probe bound (at most
+    ``ceil(log2 k) + 1``), the same for a hit and a miss.
     """
 
     __slots__ = ("keys", "values")
@@ -103,19 +107,10 @@ class SortedDict:
     def find(self, key):
         """Return (value_or_MISSING, comparisons)."""
         keys = self.keys
-        lo, hi = 0, len(keys) - 1
-        comps = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            k = keys[mid]
-            comps += 1
-            if k == key:
-                return self.values[mid], comps
-            if k < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return _MISSING, comps
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self.values[i], len(keys).bit_length()
+        return _MISSING, len(keys).bit_length()
 
     def items(self):
         return zip(self.keys, self.values)

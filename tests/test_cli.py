@@ -99,6 +99,16 @@ class TestRun:
         )
         assert code == 1
 
+    def test_negative_limit_exit_2(self, workspace, capsys):
+        assert self.run(workspace, "--limit", "-1") == 2
+        assert "--limit" in capsys.readouterr().err
+        # Rejected before the catalog is read: a missing one would exit 1.
+        code = main(
+            ["run", "--catalog", str(workspace / "nope.txt"),
+             "--query", str(workspace / "query.txt"), "--limit", "-1"]
+        )
+        assert code == 2
+
     def test_leaf_flag(self, workspace, capsys):
         for leaf in ("vec", "smallvec", "hashmap", "count"):
             assert self.run(
@@ -109,6 +119,7 @@ class TestRun:
 BAD_FLAGS = (
     ("--opts", "O9"),
     ("--dicts", "bogus"),
+    ("--dicts", "explicit"),
     ("--leaf", "smallvec:2"),
     ("--leaf", "smallvec:abc"),
 )

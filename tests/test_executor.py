@@ -30,7 +30,7 @@ from unijoin.query import (
     parse_plan,
     parse_query,
 )
-from unijoin.storage import Relation
+from unijoin.storage import Relation, gen_adversarial_triangle
 from unijoin.trie import HASH, LEAF_VEC, LeafSpec
 
 POLICIES = (
@@ -129,6 +129,84 @@ class TestCounters:
             assert key in d
         assert stats.to_json().startswith("{")
         assert "probes" in stats.to_text()
+
+
+class TestLoopShapes:
+    """Hand-written plans that reach every source of the interpreter loop: a
+    first subatom walking two trie levels (``keys2``), a three-variable scan
+    (``scan3``), a two-variable leaf walk inside the plan (``leaf2``) and at
+    its tail (``V(e,f)``, combined by O5), and final probe-only group sizes
+    (``U(a)``, ``T(c,d)``).  ``d`` is a str column; ``U`` holds an ``a``
+    above every stored one and ``S`` a ``d`` above every one in ``T``, so
+    sorted lookups also miss past the last key."""
+
+    QUERY = "Q(a,b,c,d,e,f) :- R(a,b,c), S(a,b,d), T(c,d), U(a), V(a,e,f)"
+    PLANS = {
+        "keys2": "R(a,b), S(a,b), U(a), V(a)\nR(c)\nS(d), T(c,d)\nV(e,f)",
+        "scan3": "R(a,b,c), S(a,b), U(a), V(a)\nS(d), T(c,d)\nV(e,f)",
+        "leaf2": "U(a), R(a), S(a), V(a)\nR(b,c), S(b)\nS(d), T(c,d)\nV(e,f)",
+    }
+
+    @staticmethod
+    def instance(rng):
+        def rows(fixed, *domains):
+            n = rng.randrange(1, 7)
+            return fixed + [tuple(rng.choice(d) for d in domains) for _ in range(n)]
+
+        small, strs = range(3), ("p", "q", "r")
+        return {
+            "R": rel("R", ("a", "b", "c"), rows([(0, 0, 0), (1, 1, 9)], small, small, small)),
+            "S": rel("S", ("a", "b", "d"), rows([(0, 0, "p"), (1, 1, "zz")], small, small, strs)),
+            "T": rel("T", ("c", "d"), rows([(0, "p")], small, strs)),
+            "U": rel("U", ("a",), rows([(0,), (7,)], small)),
+            "V": rel("V", ("a", "e", "f"), rows([(0, 5, 6)], small, small, small)),
+        }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_reference(self, name, rng):
+        q, _ = parse_query(self.QUERY)
+        plan = parse_plan(self.PLANS[name])
+        aggs = (
+            AggregationSpec(AGG_FULL, q.head),
+            AggregationSpec(AGG_COUNT, ()),
+            AggregationSpec(AGG_MIN, ("b", "d", "f")),
+        )
+        all_opts = (OptConfig(), OptConfig(o5=False), OptConfig(o3=False), OptConfig.none())
+        for _ in range(3):
+            rels = self.instance(rng)
+            for agg in aggs:
+                reference = nested_loop(q, rels, agg)
+                assert reference  # the fixed rows always join
+                for policy in POLICIES:
+                    for opts in all_opts:
+                        result, _ = execute(q, plan, rels, agg, policy, opts)
+                        assert result.matches_reference(reference), (
+                            name, agg.kind, policy.mode, opts
+                        )
+
+
+class TestPinnedCounters:
+    """Probe, hit, intermediate and output counts on the adversarial triangle
+    at n=40.  They follow from the plan and the data alone, so a rewrite of
+    the interpreter loop must reproduce them exactly."""
+
+    EXPECTED = {  # (plan, policy) -> (probes, probe_hits, intermediate, output)
+        ("binary", "hash"): (880, 480, 420, 20),
+        ("binary", "hybrid"): (880, 480, 420, 20),
+        ("gj", "hash"): (80, 60, 40, 20),
+        ("gj", "hybrid"): (80, 60, 40, 20),
+    }
+
+    @pytest.mark.parametrize("plan_name,policy", sorted(EXPECTED))
+    def test_counters(self, plan_name, policy):
+        q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
+        rels = {r.name: r for r in gen_adversarial_triangle(40)}
+        plan = convert_left_deep(q, ("R", "S", "T"))
+        if plan_name == "gj":
+            plan = optimize_plan(q, plan, MODE_GENERIC_JOIN)
+        _, s = execute(q, plan, rels, agg, StructurePolicy(policy))
+        got = (s.probes, s.probe_hits, s.intermediate_tuples, s.output_tuples)
+        assert got == self.EXPECTED[(plan_name, policy)]
 
 
 class TestToggles:

@@ -106,6 +106,17 @@ class TestSortedDict:
                 _, comps = d.find(rng.randrange(10 * k))
                 assert comps <= bound
 
+    def test_find_charges_bisect_probe_count(self):
+        """A lookup is charged len(keys).bit_length(), hit or miss, including
+        keys below the first and above the last."""
+        for k in (0, 1, 2, 3, 1000):
+            d = SortedDict()
+            for key in range(0, 2 * k, 2):
+                d.append(key, key)
+            for probe in (-1, 0, 1, k, 2 * k - 2, 2 * k + 5):
+                _, comps = d.find(probe)
+                assert comps == k.bit_length()
+
 
 class TestBuildTrie:
     def test_offset_leaves_equivalent(self):
