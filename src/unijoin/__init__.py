@@ -43,7 +43,7 @@ from .query import (
     validate_plan,
 )
 from .storage import Relation, gen_adversarial_triangle, load_csv, select
-from .trie import LeafSpec, Range, SortedDict, Trie, build_trie
+from .trie import LeafSpec, SortedDict, Trie, build_trie
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "OptConfig",
     "PlanError",
     "QueryError",
-    "Range",
     "Relation",
     "ResultBag",
     "SchemaError",

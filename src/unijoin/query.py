@@ -257,13 +257,15 @@ def plan_violation(q: ConjunctiveQuery, plan: FreeJoinPlan) -> str | None:
             missing = set(vars_) - covered
             return f"atom {rel}: variables {sorted(missing)} not covered by any subatom"
 
-    # Binding order: a node's first subatom introduces its variables; every
-    # other subatom must be fully bound when probed.
+    # Binding order: a node's first subatom introduces its variables, none of
+    # them bound before (iterating it would overwrite those bindings rather
+    # than join on them); every other subatom must be fully bound when probed.
     bound: set[str] = set()
     for ni, node in enumerate(plan.nodes):
         first = node[0]
-        if first.vars and set(first.vars) <= bound:
-            return f"node {ni}: first subatom {first} introduces no new variables"
+        rebound = set(first.vars) & bound
+        if rebound:
+            return f"node {ni}: first subatom {first} rebinds bound variables {sorted(rebound)}"
         bound |= set(first.vars)
         for sub in node[1:]:
             unbound = set(sub.vars) - bound

@@ -11,6 +11,8 @@ is verified, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
+from operator import gt
 
 from .errors import LoadError, SchemaError, SortednessError
 
@@ -52,7 +54,9 @@ class Relation:
             raise SchemaError(f"relation {self.name}: ragged columns {sizes}")
         for attr in self.attrs:
             col = self.columns[attr]
-            if col:
+            # One C-level pass accepts a clean column; the loop below runs
+            # only to name the first bad row.  A bool's type is bool, not int.
+            if col and set(map(type, col)) not in ({int}, {str}):
                 k = kind_of(col[0])
                 for i, v in enumerate(col):
                     if kind_of(v) != k:
@@ -103,16 +107,25 @@ class Relation:
         return Relation.from_rows(name or self.name, self.attrs, rows, sorted_by=full_order)
 
 
+def unsorted_row(cols) -> int | None:
+    """First row whose key over ``cols`` is below the previous row's, or None.
+
+    Streams the comparison in C: no per-row tuple list is built.
+    """
+    if len(cols) == 1:
+        col = cols[0]
+        descents = map(gt, col, islice(col, 1, None))
+    else:
+        descents = map(gt, zip(*cols), islice(zip(*cols), 1, None))
+    return next(compress(count(1), descents), None)
+
+
 def _check_sorted(rel: Relation, attrs: tuple[str, ...]) -> None:
-    cols = [rel.columns[a] for a in attrs]
-    prev = None
-    for i in range(rel.size):
-        key = tuple(c[i] for c in cols)
-        if prev is not None and key < prev:
-            raise SortednessError(
-                f"relation {rel.name}: sortedness over {attrs} violated at row {i}"
-            )
-        prev = key
+    row = unsorted_row([rel.columns[a] for a in attrs])
+    if row is not None:
+        raise SortednessError(
+            f"relation {rel.name}: sortedness over {attrs} violated at row {row}"
+        )
 
 
 def load_csv(path, name, schema, sorted_by=None) -> Relation:
@@ -130,28 +143,46 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
         raise SchemaError(f"relation {name}: duplicate attribute names in schema")
     columns: dict[str, list] = {a: [] for a in attrs}
     cols = [columns[a] for a in attrs]
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(attrs):
-                raise LoadError(
-                    f"{path}:{lineno}: expected {len(attrs)} fields, got {len(fields)}"
-                )
-            for ci, (text, k) in enumerate(zip(fields, kinds)):
-                if k == INT:
-                    try:
-                        cols[ci].append(int(text))
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}:{lineno}: column {ci + 1} ({attrs[ci]}): "
-                            f"{text!r} is not an integer"
-                        ) from None
-                else:
-                    cols[ci].append(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != len(attrs):
+                    raise LoadError(
+                        f"{path}:{lineno}: expected {len(attrs)} fields, got {len(fields)}"
+                    )
+                for ci, (text, k) in enumerate(zip(fields, kinds)):
+                    if k == INT:
+                        try:
+                            cols[ci].append(int(text))
+                        except ValueError:
+                            raise LoadError(
+                                f"{path}:{lineno}: column {ci + 1} ({attrs[ci]}): "
+                                f"{text!r} is not an integer"
+                            ) from None
+                    else:
+                        cols[ci].append(text)
+    except UnicodeDecodeError:
+        where = _first_non_utf8_line(path)
+        raise LoadError(
+            f"{path}:{where}: not valid UTF-8" if where else f"{path}: not valid UTF-8"
+        ) from None
     return Relation(name, attrs, columns, sorted_by=tuple(sorted_by) if sorted_by else None)
+
+
+def _first_non_utf8_line(path) -> int | None:
+    """Number of the first line that is not valid UTF-8 (text files are
+    decoded in blocks, so the error itself does not say which line)."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 _OPS = {

@@ -10,24 +10,33 @@ representations:
 * ``smallvec``-- a singleton group is the bare offset in the parent slot,
   promoted to a plain list on the second insertion (group-of-one keys are
   the common case for key joins)
-* ``range``   -- (left, right) inclusive bounds, legal only when equal keys
+* ``range``   -- a builtin ``range`` of offsets, legal only when equal keys
   occupy a contiguous ascending run, i.e. the relation is sorted by the keys
 * ``count``   -- just the group multiplicity, for join-only relations
 
 Dictionaries come in two kinds: ``hash`` (a plain dict) and ``sorted``
-(append-only association lists looked up with ``bisect``).  A sorted lookup
+(association lists in key order, looked up with ``bisect``).  A sorted lookup
 over k keys is charged ``k.bit_length()`` comparisons, the most that
-``bisect_left`` makes, whether the key is found or not.  Built tries are
-immutable; builders are single-writer.
+``bisect_left`` makes, whether the key is found or not.
+
+A hash trie is built one row at a time.  A sorted trie is built from run
+boundaries: in a relation sorted by the key attributes every key prefix
+occupies a contiguous run of rows, so the build finds where runs start with
+C-level passes over the key columns, makes one leaf per deepest run and
+folds the runs upward into sorted dictionaries; Python code runs once per
+group, not once per row.  Built tries are immutable; builders are
+single-writer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import ne, or_, sub
 
 from .errors import ExecutionError, SortednessError
-from .storage import Relation
+from .storage import Relation, unsorted_row
 
 HASH = "hash"
 SORTED = "sorted"
@@ -44,37 +53,15 @@ class LeafSpec:
     kind: str
 
 
-class Range:
-    """Inclusive offset bounds for a contiguous ascending run."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, offset: int):
-        self.left = offset
-        self.right = offset
-
-    def extend(self, offset: int) -> None:
-        if offset != self.right + 1:
-            raise SortednessError(
-                f"range leaf: offset {offset} does not extend run ..{self.right}"
-            )
-        self.right = offset
-
-    def __len__(self) -> int:
-        return self.right - self.left + 1
-
-    def __iter__(self):
-        return iter(range(self.left, self.right + 1))
-
-
 _MISSING = object()
 
 
 class SortedDict:
-    """Association list with keys in non-decreasing insertion order.
+    """Association list with keys in non-decreasing order.
 
-    Insertions may only touch the largest key (append a new one or revisit
-    the last); lookups run ``bisect_left`` over the key list.  ``find``
+    ``keys`` and ``values`` are parallel lists, handed over whole by the
+    sorted build; ``append`` may only add a key no smaller than the last.
+    Lookups run ``bisect_left`` over the key list.  ``find``
     returns the value together with the comparisons charged for it:
     ``len(keys).bit_length()``, bisect's probe bound (at most
     ``ceil(log2 k) + 1``), the same for a hit and a miss.
@@ -82,15 +69,12 @@ class SortedDict:
 
     __slots__ = ("keys", "values")
 
-    def __init__(self):
-        self.keys = []
-        self.values = []
+    def __init__(self, keys=None, values=None):
+        self.keys = [] if keys is None else keys
+        self.values = [] if values is None else values
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def last_key(self, default=_MISSING):
-        return self.keys[-1] if self.keys else default
 
     def append(self, key, value) -> None:
         keys = self.keys
@@ -100,9 +84,6 @@ class SortedDict:
             )
         keys.append(key)
         self.values.append(value)
-
-    def set_last(self, value) -> None:
-        self.values[-1] = value
 
     def find(self, key):
         """Return (value_or_MISSING, comparisons)."""
@@ -122,8 +103,7 @@ class Trie:
 
     ``levels`` pairs each key attribute with its dictionary kind.  ``root``
     is the top-level dictionary, or directly a leaf when there are no key
-    attributes.  ``insertions`` counts the per-row leaf insertions performed
-    during the build.
+    attributes.  ``insertions`` counts the rows indexed.
     """
 
     relation: Relation
@@ -180,16 +160,13 @@ def leaf_size(leaf, spec: LeafSpec) -> int:
     return len(leaf)
 
 
-def _new_dict(kind: str):
-    return SortedDict() if kind == SORTED else {}
-
-
 def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie:
     """Build a trie with one level per key attribute, one insertion per row.
 
     A sorted dictionary requires the relation to be sorted with the key
-    attributes as a prefix of its declared order; a range leaf additionally
-    requires sorted dictionaries (contiguity comes from the sort).
+    attributes as a prefix of its declared order, and its rows to be sorted
+    by them now; a range leaf additionally requires sorted dictionaries
+    (contiguity comes from the sort).
     """
     key_attrs = tuple(key_attrs)
     for a in key_attrs:
@@ -202,6 +179,13 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
                 f"build_trie: sorted dictionaries over {key_attrs} require "
                 f"{rel.name} sorted by that prefix (declared: {declared})"
             )
+        # The declaration was verified at construction; this catches a
+        # column changed since, which would break the run-boundary build.
+        row = unsorted_row([rel.columns[a] for a in key_attrs])
+        if row is not None:
+            raise SortednessError(
+                f"build_trie: {rel.name} is not sorted by {key_attrs} at row {row}"
+            )
     elif dict_kind != HASH:
         raise ExecutionError(f"unknown dictionary kind {dict_kind!r}")
     if leaf.kind == LEAF_RANGE and dict_kind != SORTED:
@@ -213,10 +197,13 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
     nlevels = len(key_attrs)
     if nlevels == 0:
         return Trie(rel, (), leaf, _zero_level_leaf(leaf, size), size)
-    if dict_kind == HASH and nlevels == 1:
-        root = _build_hash1(rel.columns[key_attrs[0]], leaf)
+    cols = [rel.columns[a] for a in key_attrs]
+    if dict_kind == SORTED:
+        root = _build_sorted(cols, leaf)
+    elif nlevels == 1:
+        root = _build_hash1(cols[0], leaf)
     else:
-        root = _build_generic(rel, key_attrs, dict_kind, leaf)
+        root = _build_hash(cols, leaf)
     return Trie(rel, tuple((a, dict_kind) for a in key_attrs), leaf, root, size)
 
 
@@ -229,10 +216,7 @@ def _zero_level_leaf(leaf: LeafSpec, size: int):
     if kind == LEAF_RANGE:
         if size == 0:
             raise ExecutionError("range leaf cannot represent an empty group")
-        r = Range(0)
-        for i in range(1, size):
-            r.extend(i)
-        return r
+        return range(size)
     if kind == LEAF_SMALLVEC and size == 1:
         return 0
     return list(range(size))
@@ -274,42 +258,72 @@ def _build_hash1(col, leaf: LeafSpec):
     return root
 
 
-def _build_generic(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec):
-    root = _new_dict(dict_kind)
-    cols = [rel.columns[a] for a in key_attrs]
+def _build_hash(cols, leaf: LeafSpec):
+    """Hash trie over several levels, one row at a time."""
+    root: dict = {}
     last = len(cols) - 1
     kind = leaf.kind
-    for off in range(rel.size):
+    for off in range(len(cols[0])):
         node = root
         for depth, col in enumerate(cols):
             key = col[off]
-            is_last = depth == last
-            if dict_kind == SORTED:
-                if node.last_key() == key:
-                    child = node.values[-1]
-                else:
-                    child = _MISSING
+            child = node.get(key, _MISSING)
+            if depth < last:
                 if child is _MISSING:
-                    child = _fresh_leaf(kind, off) if is_last else _new_dict(dict_kind)
-                    node.append(key, child)
-                    if is_last:
-                        break
-                elif is_last:
-                    node.set_last(_leaf_insert(child, kind, off))
-                    break
+                    child = node[key] = {}
                 node = child
+            elif child is _MISSING:
+                node[key] = _fresh_leaf(kind, off)
             else:
-                child = node.get(key, _MISSING)
-                if child is _MISSING:
-                    child = _fresh_leaf(kind, off) if is_last else _new_dict(dict_kind)
-                    node[key] = child
-                    if is_last:
-                        break
-                elif is_last:
-                    node[key] = _leaf_insert(child, kind, off)
-                    break
-                node = child
+                node[key] = _leaf_insert(child, kind, off)
     return root
+
+
+def _build_sorted(cols, leaf: LeafSpec):
+    """Sorted trie over key columns the rows are sorted by, from run starts.
+
+    Row i starts a run at depth d when any of ``cols[:d + 1]`` differs
+    between rows i - 1 and i; each deepest run becomes one leaf, and the
+    runs of depth d + 1 inside one run of depth d become one dictionary.
+    """
+    n = len(cols[0])
+    if n == 0:
+        return SortedDict()
+    starts = []  # per depth: the rows where its runs start
+    flags = []  # per depth: for rows 1..n-1, whether a run starts there
+    changed = None
+    for col in cols:
+        step = map(ne, islice(col, 1, None), col)
+        changed = list(step if changed is None else map(or_, changed, step))
+        flags.append(changed)
+        runs = [0]
+        runs.extend(compress(range(1, n), changed))
+        starts.append(runs)
+
+    lo = starts[-1]
+    hi = lo[1:]
+    hi.append(n)
+    kind = leaf.kind
+    if kind == LEAF_RANGE:
+        nodes = list(map(range, lo, hi))
+    elif kind == LEAF_COUNT:
+        nodes = list(map(sub, hi, lo))
+    elif kind == LEAF_VEC:
+        nodes = list(map(list, map(range, lo, hi)))
+    elif kind == LEAF_SMALLVEC:
+        nodes = [a if b - a == 1 else list(range(a, b)) for a, b in zip(lo, hi)]
+    else:
+        nodes = list(map(dict.fromkeys, map(range, lo, hi), repeat(1)))
+
+    for depth in range(len(cols) - 1, 0, -1):
+        keys = list(map(cols[depth].__getitem__, starts[depth]))
+        # Index, among this depth's runs, of each run that starts a parent run.
+        bounds = [0]
+        bounds.extend(compress(count(1), compress(flags[depth - 1], flags[depth])))
+        ends = bounds[1:]
+        ends.append(len(nodes))
+        nodes = [SortedDict(keys[a:b], nodes[a:b]) for a, b in zip(bounds, ends)]
+    return SortedDict(list(map(cols[0].__getitem__, starts[0])), nodes)
 
 
 def _fresh_leaf(kind: str, off: int):
@@ -319,8 +333,6 @@ def _fresh_leaf(kind: str, off: int):
         return [off]
     if kind == LEAF_SMALLVEC:
         return off  # singleton inline
-    if kind == LEAF_RANGE:
-        return Range(off)
     return {off: 1}
 
 
@@ -332,9 +344,6 @@ def _leaf_insert(leaf, kind: str, off: int):
         return [leaf, off]
     if kind == LEAF_VEC or kind == LEAF_SMALLVEC:
         leaf.append(off)
-        return leaf
-    if kind == LEAF_RANGE:
-        leaf.extend(off)
         return leaf
     leaf[off] = leaf.get(off, 0) + 1
     return leaf

@@ -99,6 +99,13 @@ class TestRun:
         )
         assert code == 1
 
+    def test_non_utf8_csv_exit_1(self, workspace, capsys):
+        (workspace / "s.csv").write_bytes(b"10,7\n1\xff,8\n20,9\n")
+        assert self.run(workspace) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "s.csv:2: not valid UTF-8" in err
+
     def test_negative_limit_exit_2(self, workspace, capsys):
         assert self.run(workspace, "--limit", "-1") == 2
         assert "--limit" in capsys.readouterr().err

@@ -9,8 +9,12 @@ from unijoin.query import convert_left_deep, parse_query
 from unijoin.storage import Relation
 from unijoin.trie import (
     HASH,
+    LEAF_COUNT,
+    LEAF_HASHMAP,
+    LEAF_RANGE,
     LEAF_SMALLVEC,
     LEAF_VEC,
+    SORTED,
     LeafSpec,
     SortedDict,
     _MISSING,
@@ -48,6 +52,37 @@ def test_leaf_shapes_equivalent(rows, keys):
     got = {p: list(leaf_offsets(leaf, sv.leaf)) for p, leaf in sv.paths().items()}
     want = {p: list(leaf) for p, leaf in vec.paths().items()}
     assert got == want
+
+
+# Three-column rows with int or str keys, sizes 0-60 and small domains, so
+# groups repeat at every depth and whole rows repeat too.
+rows3 = st.sampled_from((st.integers(0, 3), st.sampled_from(("", "a", "ab", "b")))).flatmap(
+    lambda cell: st.lists(
+        st.tuples(cell, st.integers(0, 2), cell), max_size=60
+    ).map(sorted)
+)
+
+
+def _contents(trie):
+    """{key path: sorted offsets}, or the count for count leaves."""
+    if trie.leaf.kind == LEAF_COUNT:
+        return trie.paths()
+    return {p: sorted(leaf_offsets(leaf, trie.leaf)) for p, leaf in trie.paths().items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows3, st.sampled_from((("a",), ("a", "b"), ("a", "b", "c"))))
+def test_sorted_build_matches_hash_build(rows, keys):
+    # The run-boundary sorted build against the row-at-a-time hash build,
+    # for every leaf kind legal under sorted dictionaries; a range leaf is
+    # compared with a vec leaf, the nearest hash shape.
+    rel = Relation.from_rows("R", ("a", "b", "c"), rows, sorted_by=("a", "b", "c"))
+    for kind in (LEAF_RANGE, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_HASHMAP):
+        srt = build_trie(rel, keys, SORTED, LeafSpec(kind))
+        ref = build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC if kind == LEAF_RANGE else kind))
+        assert _contents(srt) == _contents(ref)
+        assert list(srt.paths()) == sorted(ref.paths())  # keys ascend at every level
+        assert srt.insertions == ref.insertions == len(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import CORPUS, parsed
 from unijoin.errors import PlanError, QueryError
+from unijoin.executor import StructurePolicy, execute
 from unijoin.query import (
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
@@ -25,6 +26,7 @@ from unijoin.query import (
     plan_violation,
     validate_plan,
 )
+from unijoin.storage import Relation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,6 +101,20 @@ class TestValidatePlan:
 
     def test_unbound_probe(self):
         assert "unbound" in plan_violation(self.q, parse_plan("R(x,a), S(b)\nS(x), T(x)"))
+
+    def test_first_subatom_rebinding_bound_var(self):
+        """Iterating T(c,d) then R(a,b,c) would overwrite c rather than join
+        on it: execute would return all four (R, T) pairs, not {(1,2,3,5)}."""
+        q, agg = parse_query("Q(a,b,c,d) :- R(a,b,c), T(c,d)")
+        plan = parse_plan("T(c,d)\nR(a,b,c)")
+        assert "rebinds bound variables ['c']" in plan_violation(q, plan)
+        rels = {
+            "R": Relation.from_rows("R", ("a", "b", "c"), [(1, 2, 3), (1, 2, 4)]),
+            "T": Relation.from_rows("T", ("c", "d"), [(3, 5), (9, 6)]),
+        }
+        for policy in ("hash", "sorted", "hybrid"):
+            with pytest.raises(PlanError):
+                execute(q, plan, rels, agg, StructurePolicy(policy))
 
     def test_unknown_relation(self):
         with pytest.raises(PlanError):

@@ -21,7 +21,6 @@ from unijoin.trie import (
     LEAF_VEC,
     SORTED,
     LeafSpec,
-    Range,
     SortedDict,
     build_trie,
     leaf_offsets,
@@ -50,18 +49,6 @@ ALL_OFFSET_LEAVES = (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC)
 
 
 class TestRange:
-    def test_contiguous(self):
-        r = Range(3)
-        r.extend(4)
-        r.extend(5)
-        assert list(r) == [3, 4, 5]
-        assert len(r) == 3
-
-    def test_gap_rejected(self):
-        r = Range(3)
-        with pytest.raises(SortednessError):
-            r.extend(5)
-
     def test_reconstructs_whole_relation(self):
         """Union of range leaves over a sorted relation is exactly 0..size-1."""
         rng = random.Random(11)
@@ -166,6 +153,19 @@ class TestBuildTrie:
         rel = Relation.from_rows("R", ("a", "b"), [(1, 2)], sorted_by=("b", "a"))
         with pytest.raises(SortednessError):
             build_trie(rel, ("a",), SORTED, LeafSpec(LEAF_RANGE))
+
+    def test_build_rejects_rows_changed_since_load(self):
+        """A column changed after construction no longer matches the verified
+        declaration; the sorted build checks the rows itself."""
+        for keys, attr in ((("a",), "a"), (("a", "b"), "b")):
+            rel = Relation.from_rows(
+                "R", ("a", "b"), [(1, 1), (1, 2), (2, 1), (2, 3)], sorted_by=("a", "b")
+            )
+            rel.columns[attr][3] = 0  # row 3 now sorts below row 2
+            for kind in (LEAF_RANGE, LEAF_VEC, LEAF_COUNT):
+                with pytest.raises(SortednessError, match="at row 3"):
+                    build_trie(rel, keys, SORTED, LeafSpec(kind))
+            build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC))  # hash needs no order
 
     def test_range_requires_sorted_dicts(self):
         rel = Relation.from_rows("R", ("a",), [(1,)], sorted_by=("a",))
