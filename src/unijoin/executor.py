@@ -111,10 +111,12 @@ class StructurePolicy:
     dictionaries everywhere, sorting a copy of any relation whose declared
     order does not cover the trie's key attributes (each copy bumps the
     ``sort_ops`` counter).  ``hybrid`` uses sorted dictionaries with range
-    leaves only where a relation's declared order already matches, and hash
-    structures everywhere else -- in particular for intermediates, which are
-    never worth sorting.  ``explicit`` takes a per-relation mapping from
-    relation name to ``(dict_kind, LeafSpec)``.
+    leaves only where a base relation is iterated and its declared order
+    already matches the trie's key attributes, and hash structures
+    everywhere else: for intermediates, which are never worth sorting, and
+    for probe-only relations, where a hash lookup beats a bisect per level.
+    ``explicit`` takes a per-relation mapping from relation name to
+    ``(dict_kind, LeafSpec)``.
     """
 
     mode: str = POLICY_HYBRID
@@ -271,7 +273,9 @@ def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
             return rel, SORTED, sorted_leaf(), False
         return rel.sorted_copy(levels), SORTED, sorted_leaf(), True
     if policy.mode == POLICY_HYBRID:
-        if prefix_ok and not is_intermediate:
+        # A probe-only relation is never walked in key order, so a bisect
+        # per level would buy nothing over one dict lookup.
+        if prefix_ok and not is_intermediate and not probe_only:
             return rel, SORTED, sorted_leaf(), False
         return rel, HASH, hash_leaf(), False
     # explicit
@@ -575,27 +579,19 @@ def execute_bushy(
     if agg is None:
         agg = AggregationSpec(AGG_FULL, q.head)
     stats = ExecStats()
-    agg_vars = agg.vars if agg.kind == AGG_MIN else ()
-    stages = decompose_bushy(q, tree, agg_vars)
+    stages = decompose_bushy(q, tree, agg)
     rels = dict(relations)
     made: set[str] = set()
     for stage in stages:
         sub_q = ConjunctiveQuery(stage.out_vars, stage.order)
         plan = convert_left_deep(sub_q, [a.relation for a in stage.order])
-        if stage.target is None:
-            sub_agg = agg
-            if agg.kind == AGG_FULL:
-                sub_agg = AggregationSpec(AGG_FULL, tuple(q.head))
-            result, _ = execute(
-                sub_q, plan, rels, sub_agg, policy, opts, stats,
-                intermediate_names=frozenset(made),
-            )
-            return result, stats
-        sub_agg = AggregationSpec(AGG_FULL, stage.out_vars)
+        sub_agg = agg if stage.target is None else AggregationSpec(AGG_FULL, stage.out_vars)
         result, _ = execute(
             sub_q, plan, rels, sub_agg, policy, opts, stats,
             intermediate_names=frozenset(made),
         )
+        if stage.target is None:
+            return result, stats
         rows = []
         for key, mult in result.sorted_rows():
             rows.extend([key] * mult)

@@ -413,15 +413,23 @@ class PlanStage:
     out_vars: tuple[str, ...]
 
 
-def decompose_bushy(q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg_vars=()) -> list[PlanStage]:
+def decompose_bushy(
+    q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg: AggregationSpec | None = None
+) -> list[PlanStage]:
     """Post-order decomposition of a bushy tree into left-deep stages.
 
     Every non-leaf right subtree becomes its own stage materializing an
     intermediate whose attributes are exactly its variables still needed
-    above it (head, aggregate, or joins outside the subtree).  Intermediates
-    carry no sort order.
+    above it: those joined outside the subtree, and those in the output.
+    The output is the projected variables (by default the head) under a
+    full aggregate, the minimized variables under ``min``, and nothing under
+    ``count``; the head ``parse_query`` synthesizes for ``COUNT`` and
+    ``MIN``, every body variable, keeps nothing alive.  The root stage's
+    head is the output.  Intermediates carry no sort order.
     """
-    needed_always = set(q.head) | set(agg_vars)
+    if agg is None:
+        agg = AggregationSpec(AGG_FULL, q.head)
+    out_vars = () if agg.kind == AGG_COUNT else tuple(dict.fromkeys(agg.vars or q.head))
     stages: list[PlanStage] = []
     counter = [0]
 
@@ -440,7 +448,7 @@ def decompose_bushy(q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg_vars=()) 
             if a.relation not in {s.relation for s in sub_seq}
             for v in a.vars
         }
-        live = sub_vars & (outside | needed_always)
+        live = sub_vars & (outside | set(out_vars))
         order = []
         for a in sub_seq:
             for v in a.vars:
@@ -456,7 +464,7 @@ def decompose_bushy(q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg_vars=()) 
         root_seq = [tree]
     else:
         root_seq = linearize(tree)
-    stages.append(PlanStage(None, tuple(root_seq), tuple(q.head)))
+    stages.append(PlanStage(None, tuple(root_seq), out_vars))
     return stages
 
 
@@ -501,7 +509,9 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
     A variable is live when it reaches the output (head or aggregate) or
     joins two atoms.  Dead variables are dropped from their subatoms; a
     subatom left empty disappears, and if it was a node's iteration source
-    the node's probes move back to the previous node.
+    the node's probes move back to the previous node -- unless that node
+    already holds a subatom of one of their atoms, in which case the source
+    is kept, dead variables and all.
     """
     out_vars = set(agg.vars or q.head) if agg.kind == AGG_FULL else set(agg.vars)
     var_atoms: dict[str, int] = {}
@@ -523,11 +533,16 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
         if not cur:
             continue
         if source_pruned and new_nodes:
-            # Iteration source vanished: the node's probes attach to the
-            # previous node.
-            new_nodes[-1].extend(cur)
-        else:
-            new_nodes.append(cur)
+            prev = new_nodes[-1]
+            if {s.relation for s in cur}.isdisjoint(s.relation for s in prev):
+                # Iteration source vanished: the node's probes attach to the
+                # previous node.
+                prev.extend(cur)
+                continue
+            # The previous node already holds a subatom of one of these
+            # atoms, and an atom gets one subatom per node: the source stays.
+            cur.insert(0, node[0])
+        new_nodes.append(cur)
     pruned = FreeJoinPlan(tuple(tuple(n) for n in new_nodes))
 
     # Atoms whose every subatom was pruned act as pure multiplicity factors;

@@ -13,6 +13,7 @@ from unijoin.executor import (
     OptConfig,
     ResultBag,
     StructurePolicy,
+    _choose_structures,
     execute,
     execute_bushy,
 )
@@ -31,7 +32,15 @@ from unijoin.query import (
     parse_query,
 )
 from unijoin.storage import Relation, gen_adversarial_triangle
-from unijoin.trie import HASH, LEAF_VEC, LeafSpec
+from unijoin.trie import (
+    HASH,
+    LEAF_COUNT,
+    LEAF_RANGE,
+    LEAF_SMALLVEC,
+    LEAF_VEC,
+    SORTED,
+    LeafSpec,
+)
 
 POLICIES = (
     StructurePolicy("hash"),
@@ -299,6 +308,37 @@ class TestPolicies:
     def test_unknown_policy(self):
         with pytest.raises(ExecutionError):
             StructurePolicy("fancy")
+
+    def test_hybrid_choice_per_access(self):
+        """Under hybrid a declared order that fits buys a sorted trie only
+        for a relation that is iterated; a probe-only relation is hashed,
+        as is an intermediate."""
+        r = rel("R", ("a", "b"), [(1, 2), (1, 3), (2, 3)])
+        hybrid = StructurePolicy("hybrid")
+
+        def choice(probe_only, opts=OptConfig(), is_intermediate=False):
+            rel2, kind, spec, copied = _choose_structures(
+                r, ("a",), probe_only, hybrid, opts, is_intermediate
+            )
+            assert rel2 is r and not copied
+            return kind, spec.kind
+
+        assert choice(probe_only=True) == (HASH, LEAF_COUNT)
+        assert choice(probe_only=True, opts=OptConfig(o4=False)) == (HASH, LEAF_SMALLVEC)
+        assert choice(probe_only=False) == (SORTED, LEAF_RANGE)
+        assert choice(probe_only=False, is_intermediate=True) == (HASH, LEAF_SMALLVEC)
+        assert choice(probe_only=True, is_intermediate=True) == (HASH, LEAF_COUNT)
+
+    def test_hybrid_comparisons_are_the_iterated_relations_alone(self):
+        """On the binary triangle plan, T is probe-only and hashed, so the
+        sorted-lookup charge is S's alone: one lookup per R row into the 21
+        distinct b keys of S, at ``(21).bit_length()`` comparisons each."""
+        q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
+        rels = {r.name: r for r in gen_adversarial_triangle(40)}
+        assert len(set(rels["S"].columns["b"])) == 21
+        plan = convert_left_deep(q, ("R", "S", "T"))
+        _, s = execute(q, plan, rels, agg, StructurePolicy("hybrid"))
+        assert s.comparisons == rels["R"].size * (21).bit_length() == 200
 
     def test_hybrid_never_sorts(self, rng):
         for entry in CORPUS[:4]:

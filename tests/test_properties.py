@@ -1,11 +1,21 @@
 """Property-based checks over randomly generated inputs."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unijoin.executor import OptConfig, StructurePolicy, execute
+from conftest import CORPUS
+from unijoin.cli import main
+from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.oracle import nested_loop
-from unijoin.query import convert_left_deep, parse_query
+from unijoin.query import (
+    BushyPlan,
+    FreeJoinPlan,
+    Subatom,
+    convert_left_deep,
+    format_plan,
+    parse_query,
+    plan_violation,
+)
 from unijoin.storage import Relation
 from unijoin.trie import (
     HASH,
@@ -100,3 +110,208 @@ def test_triangle_join_matches_reference(r_rows, s_rows, t_rows):
         for opts in (OptConfig(), OptConfig.none()):
             result, _ = execute(q, plan, rels, agg, StructurePolicy(policy), opts)
             assert result.tuples == reference
+
+
+# -- plan-space fuzzing ------------------------------------------------------
+#
+# Random valid plans over the corpus query shapes, on random inputs, checked
+# against the brute-force evaluator under every policy with all toggles on
+# and with none.
+
+SCHEMAS = tuple(dict.fromkeys(entry.schemas for entry in CORPUS))
+INT_CELLS = st.integers(0, 2)
+STR_CELLS = st.sampled_from(("", "a", "ab"))
+
+
+def _variables(schema):
+    return list(dict.fromkeys(v for _, vars_ in schema for v in vars_))
+
+
+@st.composite
+def fuzz_query(draw, schema, kinds=("full", "proj", "count", "min")):
+    """Query text with a random head -- full, a projection, ``COUNT`` or
+    ``MIN`` -- over the schema's atoms."""
+    variables = _variables(schema)
+    some = st.lists(st.sampled_from(variables), min_size=1, unique=True)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "full":
+        head = ",".join(variables)
+    elif kind == "proj":
+        head = ",".join(draw(some))
+    elif kind == "count":
+        head = "COUNT"
+    else:
+        head = f"MIN({','.join(draw(some))})"
+    body = ", ".join(f"{name}({','.join(vars_)})" for name, vars_ in schema)
+    return f"Q({head}) :- {body}"
+
+
+@st.composite
+def fuzz_relations(draw, schema, min_repeats=0):
+    """One relation per atom: up to 8 drawn rows plus ``min_repeats`` to 4
+    repeats of them, int or str per variable, and either no declared order
+    or the rows sorted by a random permutation of the attributes, declared."""
+    cells = {v: draw(st.sampled_from((INT_CELLS, STR_CELLS))) for v in _variables(schema)}
+    rels = {}
+    for name, vars_ in schema:
+        attrs = tuple(f"c{i}" for i in range(len(vars_)))
+        rows = draw(st.lists(st.tuples(*(cells[v] for v in vars_)), max_size=8))
+        if rows:
+            rows += draw(st.lists(st.sampled_from(rows), min_size=min_repeats, max_size=4))
+        order = draw(st.none() | st.permutations(attrs))
+        if order is not None:
+            idx = [attrs.index(a) for a in order]
+            rows.sort(key=lambda r: [r[i] for i in idx])
+        rels[name] = Relation.from_rows(name, attrs, rows, sorted_by=order)
+    return rels
+
+
+@st.composite
+def fuzz_plan(draw, q):
+    """A random plan that ``plan_violation`` accepts.
+
+    Each node iterates a subatom of variables no earlier node bound, then
+    probes subatoms of other atoms whose variables are bound by then.  An
+    atom's variables that no node took are bound by the end; they go to the
+    first node that binds them all and does not iterate that atom, as a new
+    probe or added to the atom's probe there.  That node exists: the last of
+    those variables was bound by another atom's iterated subatom.
+    """
+    remaining = {a.relation: list(a.vars) for a in q.atoms}
+    nodes, bound_after = [], []
+    bound: set[str] = set()
+
+    def take(rel, vars_):
+        for v in vars_:
+            remaining[rel].remove(v)
+        return Subatom(rel, tuple(vars_))
+
+    while True:
+        fresh = {r: [v for v in vs if v not in bound] for r, vs in remaining.items()}
+        firsts = [r for r, vs in fresh.items() if vs]
+        if not firsts:
+            break
+        rel = draw(st.sampled_from(firsts))
+        node = [take(rel, draw(st.lists(st.sampled_from(fresh[rel]), min_size=1, unique=True)))]
+        bound |= set(node[0].vars)
+        for other in draw(st.permutations(list(remaining))):
+            ready = [v for v in remaining[other] if v in bound]
+            if other != rel and ready and draw(st.booleans()):
+                node.append(take(other, draw(st.lists(st.sampled_from(ready), min_size=1, unique=True))))
+        nodes.append(node)
+        bound_after.append(set(bound))
+
+    for rel, rest in remaining.items():
+        if not rest:
+            continue
+        rest = tuple(draw(st.permutations(rest)))
+        for node, avail in zip(nodes, bound_after):
+            if node[0].relation == rel or not set(rest) <= avail:
+                continue
+            for i, sub in enumerate(node):
+                if sub.relation == rel:
+                    node[i] = Subatom(rel, sub.vars + rest)
+                    break
+            else:
+                node.append(Subatom(rel, rest))
+            break
+    return FreeJoinPlan(tuple(tuple(node) for node in nodes))
+
+
+def _connected(atoms) -> bool:
+    seen, rest = set(atoms[0].vars), atoms[1:]
+    while joined := [a for a in rest if seen & set(a.vars)]:
+        rest = [a for a in rest if a not in joined]
+        seen.update(*(a.vars for a in joined))
+    return not rest
+
+
+@st.composite
+def fuzz_tree(draw, atoms):
+    """A random bushy tree whose every subtree is connected, so no stage is
+    a cartesian product."""
+    if len(atoms) == 1:
+        return atoms[0]
+    splits = []
+    for mask in range(1, 2 ** len(atoms) - 1):
+        left = [a for i, a in enumerate(atoms) if mask >> i & 1]
+        right = [a for i, a in enumerate(atoms) if not mask >> i & 1]
+        if _connected(left) and _connected(right):
+            splits.append((left, right))
+    left, right = draw(st.sampled_from(splits))
+    return BushyPlan(draw(fuzz_tree(left)), draw(fuzz_tree(right)))
+
+
+STRATEGIES = tuple(
+    (StructurePolicy(policy), opts)
+    for policy in ("hash", "sorted", "hybrid")
+    for opts in (OptConfig(), OptConfig.none())
+)
+
+
+@st.composite
+def fuzz_case(draw):
+    """(query text, relations, plan)."""
+    schema = draw(st.sampled_from(SCHEMAS))
+    text = draw(fuzz_query(schema))
+    q, _ = parse_query(text)
+    return text, draw(fuzz_relations(schema)), draw(fuzz_plan(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_case())
+def test_random_plans_match_reference(case):
+    text, rels, plan = case
+    q, agg = parse_query(text)
+    assert plan_violation(q, plan) is None, str(plan)
+    reference = nested_loop(q, rels, agg)
+    for policy, opts in STRATEGIES:
+        result, _ = execute(q, plan, rels, agg, policy, opts)
+        assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_bushy_trees_match_reference(data):
+    # Every relation that has rows repeats some of them, so the
+    # materialized stages carry multiplicities; COUNT is always checked.
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    rels = data.draw(fuzz_relations(schema, min_repeats=1))
+    kinds = ("count", data.draw(st.sampled_from(("full", "proj", "min"))))
+    queries = [parse_query(data.draw(fuzz_query(schema, (kind,)))) for kind in kinds]
+    tree = data.draw(fuzz_tree(list(queries[0][0].atoms)))
+    for q, agg in queries:
+        reference = nested_loop(q, rels, agg)
+        for policy, opts in STRATEGIES:
+            result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
+            assert result.matches_reference(reference), (policy.mode, opts.label(), agg)
+
+
+@settings(
+    max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=fuzz_case())
+def test_fuzzed_instances_run_through_cli(tmp_path_factory, capsys, case):
+    """The same instances, written as a CSV catalog and run by ``unijoin run
+    --check`` under every ``--dicts``: exit 0 and no traceback."""
+    text, rels, plan = case
+    out = tmp_path_factory.mktemp("fuzz")
+    catalog = []
+    for name, rel in rels.items():
+        with open(out / f"{name}.csv", "w", encoding="utf-8") as fh:
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rel.rows())
+        schema = ",".join(f"{a}:{rel.kind(a) or 'int'}" for a in rel.attrs)
+        order = f" sorted_by={','.join(rel.sorted_by)}" if rel.sorted_by else ""
+        catalog.append(f"{name} {name}.csv {schema}{order}\n")
+    (out / "catalog.txt").write_text("".join(catalog), encoding="utf-8")
+    (out / "query.txt").write_text(text + "\n", encoding="utf-8")
+    (out / "plan.txt").write_text(format_plan(plan), encoding="utf-8")
+    for dicts in ("hash", "sorted", "hybrid"):
+        code = main([
+            "run", "--catalog", str(out / "catalog.txt"), "--query", str(out / "query.txt"),
+            "--plan", f"file:{out / 'plan.txt'}", "--dicts", dicts, "--check",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, (dicts, captured.out, captured.err)
+        assert "Traceback" not in captured.err
+        assert "check: PASS" in captured.out

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import CORPUS, parsed
 from unijoin.errors import PlanError, QueryError
-from unijoin.executor import StructurePolicy, execute
+from unijoin.executor import StructurePolicy, execute, execute_bushy
+from unijoin.oracle import nested_loop
 from unijoin.query import (
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
@@ -186,6 +187,22 @@ class TestLiveness:
         assert str(info.pruned_plan) == "R(x), S(x), T(x)"
         assert plan_violation(q, info.pruned_plan) is None or True  # pruned plan
 
+    def test_pruned_source_kept_when_its_probe_cannot_move_back(self):
+        """Under COUNT, e is dead, so node 4's source R4(e) is pruned; its
+        probe R3(c) cannot join node 3, which already iterates R3.  Moving
+        it there gave a plan with two R3 subatoms in one node, and execute
+        failed with AttributeError."""
+        q, agg = parse_query("Q(COUNT) :- R1(a,b), R2(b,c), R3(c,d), R4(d,e)")
+        plan = parse_plan("R1(a)\nR1(b), R2(b)\nR2(c)\nR3(d), R4(d)\nR4(e), R3(c)")
+        pruned = liveness(q, plan, agg).pruned_plan
+        assert str(pruned) == "R1(b), R2(b)\nR2(c)\nR3(d), R4(d)\nR4(e), R3(c)"
+        rels = {
+            name: Relation.from_rows(name, ("u", "v"), [(0, 0), (0, 1), (1, 0)])
+            for name in ("R1", "R2", "R3", "R4")
+        }
+        result, _ = execute(q, plan, rels, agg)
+        assert result.count == nested_loop(q, rels, agg)
+
     def test_head_vars_live(self):
         q, agg = parse_query("Q(x,a,b) :- R(x,a), S(x,b), T(x)")
         plan = convert_left_deep(q, ("R", "S", "T"))
@@ -219,3 +236,34 @@ class TestBushy:
         tree = BushyPlan(BushyPlan(q.atoms[0], q.atoms[1]), q.atoms[2])
         stages = decompose_bushy(q, tree)
         assert len(stages) == 1 and stages[0].target is None
+
+    def test_count_stage_keeps_only_join_variables(self):
+        """A COUNT head lists every body variable, yet only the output and
+        the joins outside a subtree keep a variable alive: T join U is
+        materialized as _I1(c,a), without d, and the root stage's head is
+        the output set.  Bag, count and min results still match."""
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        body = "R(a,b), S(b,c), T(c,d), U(d,a)"
+        q, agg = parse_query(f"Q(COUNT) :- {body}")
+        inner, root = decompose_bushy(q, tree, agg)
+        assert (inner.target, inner.out_vars) == ("_I1", ("c", "a"))
+        assert str(root.order[-1]) == "_I1(c,a)" and root.out_vars == ()
+        q_min, agg_min = parse_query(f"Q(MIN(d,b)) :- {body}")
+        assert decompose_bushy(q_min, tree, agg_min)[-1].out_vars == ("d", "b")
+
+        rng = random.Random(7)
+        for _ in range(10):
+            rels = {
+                name: Relation.from_rows(
+                    name,
+                    ("u", "v"),
+                    [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 14))],
+                )
+                for name in ("R", "S", "T", "U")
+            }
+            for head in ("COUNT", "MIN(d,b)", "a,b,c,d", "b"):
+                q, agg = parse_query(f"Q({head}) :- {body}")
+                reference = nested_loop(q, rels, agg)
+                for policy in ("hash", "sorted", "hybrid"):
+                    result, _ = execute_bushy(q, tree, rels, agg, StructurePolicy(policy))
+                    assert result.matches_reference(reference)
