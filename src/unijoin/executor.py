@@ -22,6 +22,13 @@ Optimization toggles:
 * O4 -- count leaves for relations that are only probed, never iterated
 * O5 -- factorized evaluation of a plan's independent tail nodes for
   count/min aggregates (loop-invariant aggregation)
+
+A weighted relation (see ``storage``) counts each row as many times as its
+weight: a scan or leaf walk multiplies the multiplicity by the row's weight,
+a count leaf sums the weights, and a weighted relation that is only probed
+always gets a count leaf, since a list of offsets would lose the weights.
+``execute_bushy`` hands each materialized stage on as a weighted relation of
+its distinct tuples.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import json
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 from .errors import ExecutionError
 from .oracle import nested_loop
@@ -235,7 +243,7 @@ def _key_paths(node, depth):
 def _source(mode, acc, idx, bind):
     """(items, count) a node's first subatom iterates: row offsets, or
     (key, child) pairs of one trie level (``bind`` is its variable) or
-    (key path, child) pairs of several."""
+    (key path, child) pairs of several.  The count ignores weights."""
     if mode == _SCAN:
         return range(acc.rel.size), acc.rel.size
     node = acc.slots[idx]
@@ -251,8 +259,12 @@ def _source(mode, acc, idx, bind):
 def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
     """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made)."""
 
+    # Offsets cannot carry weights, so a weighted probe-only relation needs
+    # the count leaf whatever O4 says.
+    count_leaf = probe_only and (opts.o4 or rel.weights is not None)
+
     def hash_leaf():
-        if probe_only and opts.o4:
+        if count_leaf:
             return LeafSpec(LEAF_COUNT)
         if opts.o2:
             return LeafSpec(LEAF_SMALLVEC)
@@ -261,7 +273,7 @@ def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
         return LeafSpec(LEAF_HASHMAP)
 
     def sorted_leaf():
-        if probe_only and opts.o4:
+        if count_leaf:
             return LeafSpec(LEAF_COUNT)
         return LeafSpec(LEAF_RANGE)
 
@@ -285,6 +297,11 @@ def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
         raise ExecutionError(
             f"explicit policy: no structure choice for relation {rel.name!r}"
         ) from None
+    if probe_only and rel.weights is not None and spec.kind != LEAF_COUNT:
+        raise ExecutionError(
+            f"explicit policy: weighted relation {rel.name!r} is only probed, "
+            f"so it needs a count leaf, not {spec.kind!r}"
+        )
     return rel, dict_kind, spec, False
 
 
@@ -346,7 +363,7 @@ def execute(
         info = liveness(q, plan, agg)
         working = info.pruned_plan
         for name in info.dropped_atoms:
-            multiplier *= relations[name].size
+            multiplier *= relations[name].total_weight
 
     t0 = time.perf_counter()
     accesses: dict[str, _AtomAccess] = {}
@@ -438,6 +455,10 @@ def execute(
     count = 0
     minima: list | None = None
     agg_vars = tuple(agg.vars)
+    if len(out_vars) > 1:
+        out_key = itemgetter(*out_vars)
+    else:  # itemgetter of one name returns the bare value, of none fails
+        out_key = lambda b: tuple(b[v] for v in out_vars)
 
     def emit(mult: int):
         nonlocal count, minima
@@ -452,7 +473,7 @@ def execute(
                 minima = [m if m <= x else x for m, x in zip(minima, vals)]
             stats.min_ops += len(agg_vars)
         else:
-            key = tuple(binding[v] for v in out_vars)
+            key = out_key(binding)
             bag[key] = bag.get(key, 0) + mult
 
     def finish_factorized(mult: int):
@@ -464,7 +485,8 @@ def execute(
             if not size:
                 return
             branches.append((offsets, bind))
-            total *= size
+            weights = acc.rel.weights
+            total *= size if weights is None else sum(map(weights.__getitem__, offsets))
         stats.output_tuples += total
         if agg.kind == AGG_COUNT:
             count += total
@@ -492,7 +514,7 @@ def execute(
     def run(ni: int, mult: int):
         """Iterate node ``ni``'s source; per item, bind its variables, probe
         the other subatoms in order and, if all hit, recurse with the product
-        of the probe-only group sizes."""
+        of the row's weight and the probe-only group sizes."""
         nonlocal n_probes, n_hits, n_comps, n_inter
         if ni == suffix_start:
             finish(mult)
@@ -502,7 +524,9 @@ def execute(
         if ni:
             n_inter += size
         slots, out = acc.slots, idx + 1
+        weights = acc.rel.weights
         for item in items:
+            m = mult
             if mode == _ITER_KEYS:
                 key, slots[out] = item
                 if bind.__class__ is str:
@@ -513,7 +537,8 @@ def execute(
             else:
                 for v, col in bind:
                     binding[v] = col[item]
-            m = mult
+                if weights is not None:
+                    m *= weights[item]
             for pslots, pidx, levels, spec in probes:
                 node = pslots[pidx]
                 if levels.__class__ is str:  # one hash level, the common case
@@ -574,17 +599,23 @@ def execute_bushy(
     """Run a bushy join tree as a sequence of left-deep stages.
 
     Each non-root stage materializes its sub-join as a fresh in-memory
-    relation that later stages treat like any base relation.
+    relation that later stages treat like any base relation: one row per
+    distinct tuple, weighted by its multiplicity.
     """
     if agg is None:
         agg = AggregationSpec(AGG_FULL, q.head)
     stats = ExecStats()
     stages = decompose_bushy(q, tree, agg)
+    # Plan every stage before running any: a stage that keeps no variable
+    # can only be joined as a cartesian product, which planning refuses.
+    sub_qs = [ConjunctiveQuery(stage.out_vars, stage.order) for stage in stages]
+    plans = [
+        convert_left_deep(sub_q, [a.relation for a in stage.order])
+        for sub_q, stage in zip(sub_qs, stages)
+    ]
     rels = dict(relations)
     made: set[str] = set()
-    for stage in stages:
-        sub_q = ConjunctiveQuery(stage.out_vars, stage.order)
-        plan = convert_left_deep(sub_q, [a.relation for a in stage.order])
+    for stage, sub_q, plan in zip(stages, sub_qs, plans):
         sub_agg = agg if stage.target is None else AggregationSpec(AGG_FULL, stage.out_vars)
         result, _ = execute(
             sub_q, plan, rels, sub_agg, policy, opts, stats,
@@ -592,11 +623,11 @@ def execute_bushy(
         )
         if stage.target is None:
             return result, stats
-        rows = []
-        for key, mult in result.sorted_rows():
-            rows.extend([key] * mult)
-        stats.intermediate_tuples += len(rows)
-        rels[stage.target] = Relation.from_rows(stage.target, stage.out_vars, rows)
+        bag = result.tuples
+        stats.intermediate_tuples += len(bag)
+        rels[stage.target] = Relation.from_rows(
+            stage.target, stage.out_vars, bag, weights=bag.values()
+        )
         made.add(stage.target)
     raise ExecutionError("bushy decomposition produced no root stage")
 

@@ -1,7 +1,8 @@
 """Brute-force reference evaluator.
 
 Enumerates the full cross product of the body atoms with early pruning on
-variable equality, producing a multiset of satisfying assignments.  Slow by
+variable equality, producing a multiset of satisfying assignments.  A
+weighted row counts as many times as its weight.  Slow by
 design; it exists so every other evaluation path has something independent
 to be checked against.
 """
@@ -63,12 +64,13 @@ def nested_loop(
     n_atoms = len(atoms)
     rels = [relations[a.relation] for a in atoms]
     atom_cols = [[r.columns[attr] for attr in r.attrs] for r in rels]
+    atom_weights = [r.weights or [1] * r.size for r in rels]
 
-    def recur(i: int, binding: dict):
+    def recur(i: int, binding: dict, mult: int):
         nonlocal count, minima
         if i == n_atoms:
             if agg.kind == AGG_COUNT:
-                count += 1
+                count += mult
             elif agg.kind == AGG_MIN:
                 vals = [binding[v] for v in agg.vars]
                 if minima is None:
@@ -77,9 +79,10 @@ def nested_loop(
                     minima = [min(m, x) for m, x in zip(minima, vals)]
             else:
                 key = tuple(binding[v] for v in proj)
-                bag[key] = bag.get(key, 0) + 1
+                bag[key] = bag.get(key, 0) + mult
             return
         cols = atom_cols[i]
+        weights = atom_weights[i]
         vars_ = atoms[i].vars
         for off in range(rels[i].size):
             local = dict(binding)
@@ -93,9 +96,9 @@ def nested_loop(
                 else:
                     local[v] = val
             if ok:
-                recur(i + 1, local)
+                recur(i + 1, local, mult * weights[off])
 
-    recur(0, {})
+    recur(0, {}, 1)
     if agg.kind == AGG_COUNT:
         return count
     if agg.kind == AGG_MIN:

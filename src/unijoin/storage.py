@@ -6,6 +6,10 @@ immutable after construction (by convention: nothing in the engine mutates
 them) and may carry a ``sorted_by`` declaration asserting that rows are
 lexicographically non-decreasing over the named attributes.  The declaration
 is verified, not trusted.
+
+A relation may also carry a weight column: one positive int per row, the
+row's multiplicity.  A row of weight w means the same as w copies of it, so
+a materialized intermediate stores each distinct tuple once.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ class Relation:
 
     ``columns`` maps each attribute in ``attrs`` to a list of equal length.
     Duplicate rows are meaningful: the engine uses bag semantics throughout.
+    ``weights`` is None (every row counts once) or a list of positive ints,
+    one per row, each the number of times its row counts.
     """
 
     name: str
     attrs: tuple[str, ...]
     columns: dict[str, list] = field(repr=False)
     sorted_by: tuple[str, ...] | None = None
+    weights: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(set(self.attrs)) != len(self.attrs):
@@ -63,6 +70,8 @@ class Relation:
                         raise SchemaError(
                             f"relation {self.name}: column {attr} mixes kinds at row {i}"
                         )
+        if self.weights is not None:
+            self._check_weights()
         if self.sorted_by is not None:
             self.sorted_by = tuple(self.sorted_by)
             unknown = set(self.sorted_by) - set(self.attrs)
@@ -70,11 +79,32 @@ class Relation:
                 raise SchemaError(f"relation {self.name}: sorted_by names unknown attrs {unknown}")
             _check_sorted(self, self.sorted_by)
 
+    def _check_weights(self) -> None:
+        weights = self.weights
+        if len(weights) != self.size:
+            raise SchemaError(
+                f"relation {self.name}: {len(weights)} weights for {self.size} rows"
+            )
+        # One C-level pass each accepts a clean column; the loop names the
+        # first bad row.  A bool's type is bool, not int.
+        if weights and (set(map(type, weights)) != {int} or min(weights) < 1):
+            for i, w in enumerate(weights):
+                if w.__class__ is not int or w < 1:
+                    raise SchemaError(
+                        f"relation {self.name}: weight {w!r} at row {i} is not a positive int"
+                    )
+
     @property
     def size(self) -> int:
+        """Number of stored rows (a weighted row counts once)."""
         if not self.attrs:
             return 0
         return len(self.columns[self.attrs[0]])
+
+    @property
+    def total_weight(self) -> int:
+        """Number of rows counted with their weights: the bag's size."""
+        return self.size if self.weights is None else sum(self.weights)
 
     def kind(self, attr: str) -> str | None:
         """Kind of a column, or None when the relation is empty."""
@@ -85,26 +115,37 @@ class Relation:
         return tuple(self.columns[a][offset] for a in self.attrs)
 
     def rows(self):
+        """The stored rows, each once whatever its weight."""
         cols = [self.columns[a] for a in self.attrs]
         return list(zip(*cols)) if cols else []
 
     @classmethod
-    def from_rows(cls, name, attrs, rows, sorted_by=None) -> "Relation":
+    def from_rows(cls, name, attrs, rows, sorted_by=None, weights=None) -> "Relation":
+        """Relation over ``rows`` (tuples in ``attrs`` order), with an
+        optional weight per row."""
         attrs = tuple(attrs)
-        columns = {a: [] for a in attrs}
-        for r in rows:
-            if len(r) != len(attrs):
-                raise SchemaError(f"relation {name}: row {r!r} has arity {len(r)}, expected {len(attrs)}")
-            for a, v in zip(attrs, r):
-                columns[a].append(v)
-        return cls(name, attrs, columns, sorted_by)
+        rows = list(rows)
+        if set(map(len, rows)) - {len(attrs)}:
+            bad = next(r for r in rows if len(r) != len(attrs))
+            raise SchemaError(
+                f"relation {name}: row {bad!r} has arity {len(bad)}, expected {len(attrs)}"
+            )
+        cols = list(map(list, zip(*rows))) if rows else [[] for _ in attrs]
+        return cls(name, attrs, dict(zip(attrs, cols)), sorted_by,
+                   None if weights is None else list(weights))
 
     def sorted_copy(self, order: tuple[str, ...], name: str | None = None) -> "Relation":
-        """Rows re-sorted lexicographically by ``order`` then the remaining attrs."""
+        """Rows re-sorted lexicographically by ``order`` then the remaining
+        attrs; each row keeps its weight."""
         full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
-        idx = [self.attrs.index(a) for a in full_order]
-        rows = sorted(self.rows(), key=lambda r: tuple(r[i] for i in idx))
-        return Relation.from_rows(name or self.name, self.attrs, rows, sorted_by=full_order)
+        keys = list(zip(*(self.columns[a] for a in full_order)))
+        perm = sorted(range(self.size), key=keys.__getitem__)
+        rows = self.rows()
+        weights = self.weights
+        return Relation.from_rows(
+            name or self.name, self.attrs, [rows[i] for i in perm], sorted_by=full_order,
+            weights=None if weights is None else [weights[i] for i in perm],
+        )
 
 
 def unsorted_row(cols) -> int | None:
@@ -133,6 +174,8 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
 
     ``schema`` is a list of (attr, kind) pairs with kind in {"int", "str"}.
     No header row, no quoting, UTF-8.  Parse failures report row and column.
+    A blank line is a row of one empty field: ``""`` under a one-column
+    ``str`` schema, an error under any other.
     """
     attrs = tuple(a for a, _ in schema)
     kinds = [k for _, k in schema]
@@ -146,10 +189,7 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split(",")
+                fields = line.rstrip("\n").split(",")
                 if len(fields) != len(attrs):
                     raise LoadError(
                         f"{path}:{lineno}: expected {len(attrs)} fields, got {len(fields)}"
@@ -199,7 +239,7 @@ def select(rel: Relation, attr: str, op: str, value) -> Relation:
     """Filter rows by a comparison against a constant, preserving row order.
 
     Filtering keeps any declared sort order valid, so ``sorted_by`` carries
-    over to the result.
+    over to the result, and each kept row keeps its weight.
     """
     if attr not in rel.attrs:
         raise SchemaError(f"relation {rel.name}: unknown attribute {attr!r}")
@@ -214,7 +254,8 @@ def select(rel: Relation, attr: str, op: str, value) -> Relation:
     col = rel.columns[attr]
     keep = [i for i in range(rel.size) if pred(col[i], value)]
     columns = {a: [rel.columns[a][i] for i in keep] for a in rel.attrs}
-    return Relation(rel.name, rel.attrs, columns, sorted_by=rel.sorted_by)
+    weights = None if rel.weights is None else [rel.weights[i] for i in keep]
+    return Relation(rel.name, rel.attrs, columns, sorted_by=rel.sorted_by, weights=weights)
 
 
 def gen_adversarial_triangle(n: int):

@@ -12,7 +12,8 @@ representations:
   the common case for key joins)
 * ``range``   -- a builtin ``range`` of offsets, legal only when equal keys
   occupy a contiguous ascending run, i.e. the relation is sorted by the keys
-* ``count``   -- just the group multiplicity, for join-only relations
+* ``count``   -- just the group multiplicity, for join-only relations: the
+  number of rows, or the sum of their weights in a weighted relation
 
 Dictionaries come in two kinds: ``hash`` (a plain dict) and ``sorted``
 (association lists in key order, looked up with ``bisect``).  A sorted lookup
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import ne, or_, sub
 
 from .errors import ExecutionError, SortednessError
@@ -151,7 +152,8 @@ def leaf_offsets(leaf, spec: LeafSpec):
 
 
 def leaf_size(leaf, spec: LeafSpec) -> int:
-    """Group multiplicity of any leaf."""
+    """Group multiplicity of any leaf; for a non-count leaf, its number of
+    offsets, which is the multiplicity only when the rows are unweighted."""
     kind = spec.kind
     if kind == LEAF_COUNT:
         return leaf
@@ -194,23 +196,25 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
         raise ExecutionError(f"unknown leaf kind {leaf.kind!r}")
 
     size = rel.size
+    weights = rel.weights
     nlevels = len(key_attrs)
     if nlevels == 0:
-        return Trie(rel, (), leaf, _zero_level_leaf(leaf, size), size)
+        return Trie(rel, (), leaf, _zero_level_leaf(leaf, rel), size)
     cols = [rel.columns[a] for a in key_attrs]
     if dict_kind == SORTED:
-        root = _build_sorted(cols, leaf)
+        root = _build_sorted(cols, leaf, weights)
     elif nlevels == 1:
-        root = _build_hash1(cols[0], leaf)
+        root = _build_hash1(cols[0], leaf, weights)
     else:
-        root = _build_hash(cols, leaf)
+        root = _build_hash(cols, leaf, weights)
     return Trie(rel, tuple((a, dict_kind) for a in key_attrs), leaf, root, size)
 
 
-def _zero_level_leaf(leaf: LeafSpec, size: int):
+def _zero_level_leaf(leaf: LeafSpec, rel: Relation):
     kind = leaf.kind
     if kind == LEAF_COUNT:
-        return size
+        return rel.total_weight
+    size = rel.size
     if kind == LEAF_HASHMAP:
         return {i: 1 for i in range(size)}
     if kind == LEAF_RANGE:
@@ -222,8 +226,9 @@ def _zero_level_leaf(leaf: LeafSpec, size: int):
     return list(range(size))
 
 
-def _build_hash1(col, leaf: LeafSpec):
-    """Specialized single-level hash build; the hot path for trie creation."""
+def _build_hash1(col, leaf: LeafSpec, weights=None):
+    """Specialized single-level hash build; the hot path for trie creation.
+    ``weights`` (None: all 1) only matter to count leaves."""
     root: dict = {}
     get = root.get
     kind = leaf.kind
@@ -244,8 +249,8 @@ def _build_hash1(col, leaf: LeafSpec):
             else:
                 group.append(off)
     elif kind == LEAF_COUNT:
-        for k in col:
-            root[k] = get(k, 0) + 1
+        for k, w in zip(col, repeat(1) if weights is None else weights):
+            root[k] = get(k, 0) + w
     elif kind == LEAF_HASHMAP:
         for off, k in enumerate(col):
             group = get(k)
@@ -258,12 +263,12 @@ def _build_hash1(col, leaf: LeafSpec):
     return root
 
 
-def _build_hash(cols, leaf: LeafSpec):
+def _build_hash(cols, leaf: LeafSpec, weights=None):
     """Hash trie over several levels, one row at a time."""
     root: dict = {}
     last = len(cols) - 1
     kind = leaf.kind
-    for off in range(len(cols[0])):
+    for off, w in zip(range(len(cols[0])), repeat(1) if weights is None else weights):
         node = root
         for depth, col in enumerate(cols):
             key = col[off]
@@ -273,18 +278,19 @@ def _build_hash(cols, leaf: LeafSpec):
                     child = node[key] = {}
                 node = child
             elif child is _MISSING:
-                node[key] = _fresh_leaf(kind, off)
+                node[key] = _fresh_leaf(kind, off, w)
             else:
-                node[key] = _leaf_insert(child, kind, off)
+                node[key] = _leaf_insert(child, kind, off, w)
     return root
 
 
-def _build_sorted(cols, leaf: LeafSpec):
+def _build_sorted(cols, leaf: LeafSpec, weights=None):
     """Sorted trie over key columns the rows are sorted by, from run starts.
 
     Row i starts a run at depth d when any of ``cols[:d + 1]`` differs
     between rows i - 1 and i; each deepest run becomes one leaf, and the
     runs of depth d + 1 inside one run of depth d become one dictionary.
+    A weighted count leaf is a difference of the weights' prefix sums.
     """
     n = len(cols[0])
     if n == 0:
@@ -307,7 +313,11 @@ def _build_sorted(cols, leaf: LeafSpec):
     if kind == LEAF_RANGE:
         nodes = list(map(range, lo, hi))
     elif kind == LEAF_COUNT:
-        nodes = list(map(sub, hi, lo))
+        if weights is None:
+            nodes = list(map(sub, hi, lo))
+        else:
+            upto = list(accumulate(weights, initial=0))
+            nodes = list(map(sub, map(upto.__getitem__, hi), map(upto.__getitem__, lo)))
     elif kind == LEAF_VEC:
         nodes = list(map(list, map(range, lo, hi)))
     elif kind == LEAF_SMALLVEC:
@@ -326,9 +336,9 @@ def _build_sorted(cols, leaf: LeafSpec):
     return SortedDict(list(map(cols[0].__getitem__, starts[0])), nodes)
 
 
-def _fresh_leaf(kind: str, off: int):
+def _fresh_leaf(kind: str, off: int, weight: int):
     if kind == LEAF_COUNT:
-        return 1
+        return weight
     if kind == LEAF_VEC:
         return [off]
     if kind == LEAF_SMALLVEC:
@@ -336,10 +346,11 @@ def _fresh_leaf(kind: str, off: int):
     return {off: 1}
 
 
-def _leaf_insert(leaf, kind: str, off: int):
-    """Insert into an existing leaf; returns the (possibly replaced) leaf."""
+def _leaf_insert(leaf, kind: str, off: int, weight: int):
+    """Insert into an existing leaf; returns the (possibly replaced) leaf.
+    Only a count leaf reads ``weight``: the others hold offsets."""
     if kind == LEAF_COUNT:
-        return leaf + 1
+        return leaf + weight
     if kind == LEAF_SMALLVEC and leaf.__class__ is int:
         return [leaf, off]
     if kind == LEAF_VEC or kind == LEAF_SMALLVEC:

@@ -106,6 +106,13 @@ class TestRun:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "s.csv:2: not valid UTF-8" in err
 
+    def test_blank_csv_line_exit_1(self, workspace, capsys):
+        (workspace / "s.csv").write_text("10,7\n\n20,9\n")
+        assert self.run(workspace) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "s.csv:2: expected 2 fields, got 1" in err
+
     def test_negative_limit_exit_2(self, workspace, capsys):
         assert self.run(workspace, "--limit", "-1") == 2
         assert "--limit" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import CORPUS, parsed
-from unijoin.errors import ExecutionError
+from unijoin.errors import ExecutionError, PlanError
 from unijoin.executor import (
     ExecStats,
     OptConfig,
@@ -411,6 +411,66 @@ class TestEdgeCases:
             assert result.tuples == {(1,): 6}
 
 
+class TestWeightedRelations:
+    """A row of weight w must count as w copies of it under every access
+    path: scan, leaf walk, count leaf, O3's multiplier and O5's tail."""
+
+    R_ROWS, R_WEIGHTS = [(1, 10), (1, 20), (2, 10), (3, 30)], [2, 1, 3, 1]
+    S_ROWS, S_WEIGHTS = [(10,), (20,), (30,)], [3, 1, 2]
+
+    def relations(self):
+        weighted = {
+            "R": Relation.from_rows("R", ("a", "b"), self.R_ROWS, ("a", "b"), self.R_WEIGHTS),
+            "S": Relation.from_rows("S", ("a",), self.S_ROWS, ("a",), self.S_WEIGHTS),
+        }
+        expanded = {
+            name: rel(name, r.attrs, [row for row, w in zip(r.rows(), r.weights)
+                                      for _ in range(w)])
+            for name, r in weighted.items()
+        }
+        return weighted, expanded
+
+    @pytest.mark.parametrize("head", ["x,y", "x", "", "COUNT", "MIN(y)"])
+    def test_weights_match_expanded_rows(self, head):
+        q, agg = parse_query(f"Q({head}) :- R(x,y), S(y)")
+        weighted, expanded = self.relations()
+        reference = nested_loop(q, expanded, agg)
+        assert nested_loop(q, weighted, agg) == reference
+        for plan in plans_for(q):
+            for policy in POLICIES:
+                for opts in (OptConfig(), OptConfig.none(), OptConfig(o3=False)):
+                    result, _ = execute(q, plan, weighted, agg, policy, opts)
+                    assert result.matches_reference(reference), (str(plan), policy, opts)
+
+    def test_dropped_atom_multiplies_by_total_weight(self):
+        q, agg = parse_query("Q(COUNT) :- R(x,y), S(z)")
+        weighted, expanded = self.relations()
+        plan = parse_plan("R(x,y)\nS(z)")
+        result, _ = execute(q, plan, weighted, agg)
+        assert result.count == nested_loop(q, expanded, agg) == 7 * 6
+
+    def test_probe_only_weighted_relation_gets_count_leaf(self):
+        weighted, _ = self.relations()
+        for mode in ("hash", "sorted", "hybrid"):
+            _, _, spec, _ = _choose_structures(
+                weighted["S"], ("a",), True, StructurePolicy(mode), OptConfig(o4=False), False
+            )
+            assert spec.kind == LEAF_COUNT, mode
+
+    def test_explicit_offset_leaf_for_probe_only_weighted_relation(self):
+        q, agg = parse_query("Q(x,y) :- R(x,y), S(y)")
+        weighted, _ = self.relations()
+        plan = convert_left_deep(q, ("R", "S"))
+        counted = StructurePolicy("explicit", {"R": (HASH, LeafSpec(LEAF_VEC)),
+                                               "S": (HASH, LeafSpec(LEAF_COUNT))})
+        result, _ = execute(q, plan, weighted, agg, counted)
+        assert result.tuples == {(1, 10): 6, (1, 20): 1, (2, 10): 9, (3, 30): 2}
+        offsets = StructurePolicy("explicit", {"R": (HASH, LeafSpec(LEAF_VEC)),
+                                               "S": (HASH, LeafSpec(LEAF_VEC))})
+        with pytest.raises(ExecutionError, match="weighted relation 'S'.*count leaf"):
+            execute(q, plan, weighted, agg, offsets)
+
+
 class TestBushyExecution:
     def test_matches_reference(self, rng):
         q, agg = parse_query("Q(a,b,c,d) :- R(a,b), S(b,c), T(c,d), U(d,a)")
@@ -441,3 +501,44 @@ class TestBushyExecution:
         }
         _, stats = execute_bushy(q, tree, rels, agg, StructurePolicy("hash"))
         assert stats.deep_intermediate_tries >= 1
+
+    def test_stage_without_live_variables_is_a_cartesian_product(self):
+        # Under COUNT the stage S join T keeps no variable, since nothing
+        # outside it mentions b or c; a relation without attributes has no
+        # rows, so the stage is refused before any of it runs.
+        q, agg = parse_query("Q(COUNT) :- R(a), S(b,c), T(c)")
+        tree = parse_bushy("(R(a) (S(b,c) T(c)))")
+        rels = {
+            "R": rel("R", ("x",), [(1,), (2,)]),
+            "S": rel("S", ("x", "y"), [(1, 1), (2, 1)]),
+            "T": rel("T", ("x",), [(1,)]),
+        }
+        with pytest.raises(PlanError, match="cartesian product: _I1"):
+            execute_bushy(q, tree, rels, agg)
+
+    def test_stage_materializes_distinct_tuples(self, monkeypatch):
+        """The stage T join U holds 22 rows over 7 distinct (c, a) pairs; it
+        is handed on as 7 weighted rows.  Expanding it into 22 rows, as the
+        engine once did, cost 15 more trie insertions and 15 more counted
+        intermediates, for the same probes and outputs."""
+        q, agg = parse_query("Q(COUNT) :- R(a,b), S(b,c), T(c,d), U(d,a)")
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        edges = [(0, 1), (0, 1), (1, 2), (2, 0), (2, 0), (2, 0), (1, 0), (0, 2)]
+        rels = {n: Relation.from_rows(n, ("u", "v"), edges) for n in ("R", "S", "T", "U")}
+        made = []
+        from_rows = Relation.__dict__["from_rows"].__func__
+
+        def spy(cls, *args, **kwargs):
+            made.append(from_rows(cls, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(Relation, "from_rows", classmethod(spy))
+        for policy in POLICIES:
+            made.clear()
+            result, stats = execute_bushy(q, tree, rels, agg, policy)
+            assert result.count == nested_loop(q, rels, agg) == 50
+            stage = next(r for r in made if r.name == "_I1")  # sorted copies follow
+            assert stage.size == len(set(stage.rows())) == 7
+            assert stage.total_weight == 22
+            assert (stats.trie_build_insertions, stats.intermediate_tuples) == (23, 51)
+            assert (stats.probes, stats.output_tuples) == (60, 72)

@@ -116,9 +116,12 @@ def test_triangle_join_matches_reference(r_rows, s_rows, t_rows):
 #
 # Random valid plans over the corpus query shapes, on random inputs, checked
 # against the brute-force evaluator under every policy with all toggles on
-# and with none.
+# and with none.  Flat plans also run a query with an atom that shares no
+# variable, which O3 drops as a pure multiplier, and O5 without O3, whose
+# factorized tail then counts a leaf no dead-column pruning removed.
 
 SCHEMAS = tuple(dict.fromkeys(entry.schemas for entry in CORPUS))
+FLAT_SCHEMAS = SCHEMAS + ((("R", ("a", "b")), ("S", ("b",)), ("T", ("c",))),)
 INT_CELLS = st.integers(0, 2)
 STR_CELLS = st.sampled_from(("", "a", "ab"))
 
@@ -150,8 +153,10 @@ def fuzz_query(draw, schema, kinds=("full", "proj", "count", "min")):
 def fuzz_relations(draw, schema, min_repeats=0):
     """One relation per atom: up to 8 drawn rows plus ``min_repeats`` to 4
     repeats of them, int or str per variable, and either no declared order
-    or the rows sorted by a random permutation of the attributes, declared."""
+    or the rows sorted by a random permutation of the attributes, declared.
+    Half the time every relation gets a weight from 1 to 3 per row."""
     cells = {v: draw(st.sampled_from((INT_CELLS, STR_CELLS))) for v in _variables(schema)}
+    weighted = draw(st.booleans())
     rels = {}
     for name, vars_ in schema:
         attrs = tuple(f"c{i}" for i in range(len(vars_)))
@@ -162,8 +167,24 @@ def fuzz_relations(draw, schema, min_repeats=0):
         if order is not None:
             idx = [attrs.index(a) for a in order]
             rows.sort(key=lambda r: [r[i] for i in idx])
-        rels[name] = Relation.from_rows(name, attrs, rows, sorted_by=order)
+        weights = None
+        if weighted:
+            n = len(rows)
+            weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        rels[name] = Relation.from_rows(name, attrs, rows, sorted_by=order, weights=weights)
     return rels
+
+
+def _expanded(rels):
+    """Each relation with its weighted rows repeated instead: the same bag.
+    Repeats stay next to each other, so a declared order still holds."""
+    out = {}
+    for name, rel in rels.items():
+        rows = rel.rows()
+        if rel.weights is not None:
+            rows = [row for row, w in zip(rows, rel.weights) for _ in range(w)]
+        out[name] = Relation.from_rows(name, rel.attrs, rows, sorted_by=rel.sorted_by)
+    return out
 
 
 @st.composite
@@ -247,25 +268,29 @@ STRATEGIES = tuple(
     for policy in ("hash", "sorted", "hybrid")
     for opts in (OptConfig(), OptConfig.none())
 )
+FLAT_STRATEGIES = STRATEGIES + tuple(
+    (StructurePolicy(policy), OptConfig(o3=False)) for policy in ("hash", "sorted", "hybrid")
+)
 
 
 @st.composite
-def fuzz_case(draw):
+def fuzz_case(draw, schemas=SCHEMAS):
     """(query text, relations, plan)."""
-    schema = draw(st.sampled_from(SCHEMAS))
+    schema = draw(st.sampled_from(schemas))
     text = draw(fuzz_query(schema))
     q, _ = parse_query(text)
     return text, draw(fuzz_relations(schema)), draw(fuzz_plan(q))
 
 
 @settings(max_examples=150, deadline=None)
-@given(fuzz_case())
+@given(fuzz_case(FLAT_SCHEMAS))
 def test_random_plans_match_reference(case):
     text, rels, plan = case
     q, agg = parse_query(text)
     assert plan_violation(q, plan) is None, str(plan)
-    reference = nested_loop(q, rels, agg)
-    for policy, opts in STRATEGIES:
+    reference = nested_loop(q, _expanded(rels), agg)
+    assert nested_loop(q, rels, agg) == reference
+    for policy, opts in FLAT_STRATEGIES:
         result, _ = execute(q, plan, rels, agg, policy, opts)
         assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
 
@@ -274,14 +299,15 @@ def test_random_plans_match_reference(case):
 @given(st.data())
 def test_random_bushy_trees_match_reference(data):
     # Every relation that has rows repeats some of them, so the
-    # materialized stages carry multiplicities; COUNT is always checked.
+    # materialized stages carry multiplicities, whether or not the base
+    # relations are weighted too; COUNT is always checked.
     schema = data.draw(st.sampled_from(SCHEMAS))
     rels = data.draw(fuzz_relations(schema, min_repeats=1))
     kinds = ("count", data.draw(st.sampled_from(("full", "proj", "min"))))
     queries = [parse_query(data.draw(fuzz_query(schema, (kind,)))) for kind in kinds]
     tree = data.draw(fuzz_tree(list(queries[0][0].atoms)))
     for q, agg in queries:
-        reference = nested_loop(q, rels, agg)
+        reference = nested_loop(q, _expanded(rels), agg)
         for policy, opts in STRATEGIES:
             result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
             assert result.matches_reference(reference), (policy.mode, opts.label(), agg)
@@ -293,8 +319,10 @@ def test_random_bushy_trees_match_reference(data):
 @given(case=fuzz_case())
 def test_fuzzed_instances_run_through_cli(tmp_path_factory, capsys, case):
     """The same instances, written as a CSV catalog and run by ``unijoin run
-    --check`` under every ``--dicts``: exit 0 and no traceback."""
+    --check`` under every ``--dicts``: exit 0 and no traceback.  A CSV has
+    no weights, so weighted rows are written repeated."""
     text, rels, plan = case
+    rels = _expanded(rels)
     out = tmp_path_factory.mktemp("fuzz")
     catalog = []
     for name, rel in rels.items():

@@ -76,6 +76,45 @@ class TestRelation:
         assert rel.kind("a") is None
 
 
+class TestWeights:
+    def test_weights_kept(self):
+        rel = Relation.from_rows("R", ("a",), [(1,), (2,)], weights=[3, 1])
+        assert rel.weights == [3, 1]
+        assert rel.size == 2
+        assert rel.total_weight == 4
+        assert Relation.from_rows("R", ("a",), [(1,)]).total_weight == 1
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1], "1 weights for 2 rows"),
+            ([1, 2, 3], "3 weights for 2 rows"),
+            ([1, 0], "weight 0 at row 1"),
+            ([-2, 1], "weight -2 at row 0"),
+            ([1, True], "weight True at row 1"),
+            ([1.0, 1], "weight 1.0 at row 0"),
+            ([1, "2"], "weight '2' at row 1"),
+        ],
+    )
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(SchemaError, match=message):
+            Relation.from_rows("R", ("a",), [(1,), (2,)], weights=weights)
+
+    def test_sorted_copy_keeps_weights(self):
+        rel = Relation.from_rows("R", ("a", "b"), [(2, 1), (1, 3), (1, 2)], weights=[5, 6, 7])
+        out = rel.sorted_copy(("a",))
+        assert out.rows() == [(1, 2), (1, 3), (2, 1)]
+        assert out.weights == [7, 6, 5]
+        assert Relation.from_rows("R", ("a",), [(2,), (1,)]).sorted_copy(("a",)).weights is None
+
+    def test_select_keeps_weights(self):
+        rel = Relation.from_rows("R", ("a",), [(1,), (2,), (3,)], weights=[4, 5, 6])
+        out = select(rel, "a", "!=", 2)
+        assert out.rows() == [(1,), (3,)]
+        assert out.weights == [4, 6]
+        assert select(Relation.from_rows("R", ("a",), [(1,)]), "a", "==", 1).weights is None
+
+
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -94,6 +133,24 @@ class TestLoadCsv:
         p.write_text("1,2\n3\n")
         with pytest.raises(LoadError, match=r":2:"):
             load_csv(p, "R", [("a", "int"), ("b", "int")])
+
+    def test_blank_line_is_empty_string_row(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("a\n\nb\n")
+        rel = load_csv(p, "R", [("x", "str")])
+        assert rel.rows() == [("a",), ("",), ("b",)]
+
+    def test_blank_line_under_int_schema(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("1\n\n2\n")
+        with pytest.raises(LoadError, match=r":2: column 1 \(x\): '' is not an integer"):
+            load_csv(p, "R", [("x", "int")])
+
+    def test_blank_line_under_two_columns(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("a,b\n\n")
+        with pytest.raises(LoadError, match=r":2: expected 2 fields, got 1"):
+            load_csv(p, "R", [("x", "str"), ("y", "str")])
 
     def test_sorted_by_applied(self, tmp_path):
         p = tmp_path / "r.csv"
