@@ -29,6 +29,15 @@ a count leaf sums the weights, and a weighted relation that is only probed
 always gets a count leaf, since a list of offsets would lose the weights.
 ``execute_bushy`` hands each materialized stage on as a weighted relation of
 its distinct tuples.
+
+A plan whose root node walks trie keys (a generic-join intersection) is
+semijoin-reduced before any trie is built (Yannakakis, VLDB 1981): for each
+variable two or more of the root's relations contain, every one of them but
+the one with the fewest rows keeps only the rows whose value that one holds.
+A relation that comes out empty ends the execution with no trie built.  A
+plan whose root scans a relation (every binary plan and bushy stage) builds
+over all rows.  The build, probe and intermediate counters count the reduced
+relations, and the reduction's time counts as build time.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import json
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from operator import itemgetter
 
 from .errors import ExecutionError
@@ -256,6 +266,35 @@ def _source(mode, acc, idx, bind):
     return paths, len(paths)
 
 
+def _semijoin_reduce(node, relations, var_attr):
+    """``relations`` with those of ``node`` cut to the rows that can join:
+    for each variable two or more of them contain, the one with the fewest
+    rows (the first in node order on a tie) gives its values, and every other
+    keeps only the rows whose value is among them.  None when a relation
+    comes out empty."""
+    holders: dict[str, list] = {}  # variable -> (relation, attribute) pairs
+    for sub in node:
+        for (name, v), attr in var_attr.items():
+            if name == sub.relation:
+                holders.setdefault(v, []).append((name, attr))
+    out = dict(relations)
+    for pairs in holders.values():
+        if len(pairs) < 2:
+            continue
+        smallest, attr = min(pairs, key=lambda p: out[p[0]].size)
+        keys = set(out[smallest].columns[attr])
+        for name, attr in pairs:
+            if name == smallest:
+                continue
+            col = out[name].columns[attr]
+            keep = list(compress(range(len(col)), map(keys.__contains__, col)))
+            if not keep:
+                return None
+            if len(keep) < len(col):
+                out[name] = out[name].take(keep)
+    return out
+
+
 def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
     """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made)."""
 
@@ -366,6 +405,13 @@ def execute(
             multiplier *= relations[name].total_weight
 
     t0 = time.perf_counter()
+    # A generic-join root walks trie keys: semijoin-reduce its relations
+    # first, so no trie indexes rows the intersection cannot reach.
+    if working.nodes and len(working.subatoms_of(working.nodes[0][0].relation)) > 1:
+        relations = _semijoin_reduce(working.nodes[0], relations, var_attr)
+        if relations is None:
+            stats.build_ms += (time.perf_counter() - t0) * 1000.0
+            return _empty_result(agg, out_vars), stats
     accesses: dict[str, _AtomAccess] = {}
     # relation -> per part: ((var, is_sorted), ...) per trie level it
     # descends, or None for the part that iterates rows (scan or leaf).

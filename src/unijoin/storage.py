@@ -15,8 +15,8 @@ a materialized intermediate stores each distinct tuple once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
-from operator import gt
+from itertools import compress, count, islice, repeat
+from operator import eq, ge, gt, le, lt, ne
 
 from .errors import LoadError, SchemaError, SortednessError
 
@@ -130,22 +130,29 @@ class Relation:
             raise SchemaError(
                 f"relation {name}: row {bad!r} has arity {len(bad)}, expected {len(attrs)}"
             )
+        if rows and not attrs:
+            raise SchemaError(f"relation {name}: a relation without attributes holds no rows")
         cols = list(map(list, zip(*rows))) if rows else [[] for _ in attrs]
         return cls(name, attrs, dict(zip(attrs, cols)), sorted_by,
                    None if weights is None else list(weights))
+
+    def take(self, offsets, name: str | None = None, sorted_by=None) -> "Relation":
+        """The rows at ``offsets`` in that order, each with its weight, under
+        ``sorted_by`` or else this relation's declared order (re-verified)."""
+        weights = self.weights
+        return Relation(
+            name or self.name, self.attrs,
+            {a: list(map(col.__getitem__, offsets)) for a, col in self.columns.items()},
+            sorted_by or self.sorted_by,
+            None if weights is None else list(map(weights.__getitem__, offsets)),
+        )
 
     def sorted_copy(self, order: tuple[str, ...], name: str | None = None) -> "Relation":
         """Rows re-sorted lexicographically by ``order`` then the remaining
         attrs; each row keeps its weight."""
         full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
         keys = list(zip(*(self.columns[a] for a in full_order)))
-        perm = sorted(range(self.size), key=keys.__getitem__)
-        rows = self.rows()
-        weights = self.weights
-        return Relation.from_rows(
-            name or self.name, self.attrs, [rows[i] for i in perm], sorted_by=full_order,
-            weights=None if weights is None else [weights[i] for i in perm],
-        )
+        return self.take(sorted(range(self.size), key=keys.__getitem__), name, full_order)
 
 
 def unsorted_row(cols) -> int | None:
@@ -225,14 +232,7 @@ def _first_non_utf8_line(path) -> int | None:
     return None
 
 
-_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_OPS = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def select(rel: Relation, attr: str, op: str, value) -> Relation:
@@ -250,12 +250,8 @@ def select(rel: Relation, attr: str, op: str, value) -> Relation:
         raise SchemaError(
             f"relation {rel.name}.{attr}: cannot compare {col_kind} column with {value!r}"
         )
-    pred = _OPS[op]
-    col = rel.columns[attr]
-    keep = [i for i in range(rel.size) if pred(col[i], value)]
-    columns = {a: [rel.columns[a][i] for i in keep] for a in rel.attrs}
-    weights = None if rel.weights is None else [rel.weights[i] for i in keep]
-    return Relation(rel.name, rel.attrs, columns, sorted_by=rel.sorted_by, weights=weights)
+    keep = compress(range(rel.size), map(_OPS[op], rel.columns[attr], repeat(value)))
+    return rel.take(list(keep))
 
 
 def gen_adversarial_triangle(n: int):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import CORPUS, parsed
+from unijoin import executor
 from unijoin.errors import ExecutionError, PlanError
 from unijoin.executor import (
     ExecStats,
@@ -40,6 +41,7 @@ from unijoin.trie import (
     LEAF_VEC,
     SORTED,
     LeafSpec,
+    build_trie,
 )
 
 POLICIES = (
@@ -469,6 +471,110 @@ class TestWeightedRelations:
                                                "S": (HASH, LeafSpec(LEAF_VEC))})
         with pytest.raises(ExecutionError, match="weighted relation 'S'.*count leaf"):
             execute(q, plan, weighted, agg, offsets)
+
+
+class TestSemijoinReduction:
+    """A generic-join root walks trie keys, so ``execute`` cuts its
+    relations to the rows that can join before it builds a trie: S1 and S2
+    (200 rows each) keep only the x-values of the 3-row S0.  S1 declares its
+    order; S2 is shuffled and declares none."""
+
+    QUERY = "Q({head}) :- S1(x,a), S0(x), S2(x,b)"
+
+    @staticmethod
+    def relations(weighted=False, s0=((5,), (25,), (99,))):
+        shuffled = [(x, x * 10 + j) for x in range(20, 60) for j in range(5)]
+        random.Random(7).shuffle(shuffled)
+        rows = {
+            "S0": list(s0),
+            "S1": [(x, x * 10 + j) for x in range(40) for j in range(5)],
+            "S2": shuffled,
+        }
+        order = {"S0": None, "S1": ("x", "a"), "S2": None}
+        attrs = {"S0": ("x",), "S1": ("x", "a"), "S2": ("x", "b")}
+        return {
+            name: Relation.from_rows(
+                name, attrs[name], rs, sorted_by=order[name],
+                weights=[1 + i % 3 for i in range(len(rs))] if weighted else None,
+            )
+            for name, rs in rows.items()
+        }
+
+    def plan(self, q):
+        return optimize_plan(q, convert_left_deep(q, ("S1", "S0", "S2")), MODE_GENERIC_JOIN)
+
+    @pytest.mark.parametrize("head", ["x,a,b", "a", "COUNT", "MIN(a,b)"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_reference(self, head, weighted):
+        q, agg = parse_query(self.QUERY.format(head=head))
+        rels = self.relations(weighted)
+        given = dict(rels)
+        reference = nested_loop(q, rels, agg)
+        assert reference  # x = 25 joins
+        for policy in POLICIES:
+            for opts in (OptConfig(), OptConfig.none()):
+                result, _ = execute(q, self.plan(q), rels, agg, policy, opts)
+                assert result.matches_reference(reference), (policy.mode, opts.label())
+        assert rels == given and all(rels[n] is given[n] for n in rels)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.mode)
+    def test_counters(self, policy):
+        # S1 keeps x in {5, 25} (10 rows), S2 keeps x = 25 (5 rows); the
+        # root walks S1's two keys, probing S0 and then S2 for each.  Built
+        # in full, the tries would take 403 insertions and the walk over all
+        # 40 of S1's keys 42 probes.
+        q, agg = parse_query(self.QUERY.format(head="x,a,b"))
+        for weighted in (False, True):
+            _, s = execute(q, self.plan(q), self.relations(weighted), agg, policy)
+            got = (s.trie_build_insertions, s.probes, s.probe_hits, s.intermediate_tuples)
+            assert got == (18, 4, 3, 30)
+
+    def test_hybrid_keeps_sorted_ranges(self, monkeypatch):
+        built = []
+
+        def spy(rel, attrs, dict_kind, spec):
+            built.append((rel.name, rel.size, dict_kind, spec.kind))
+            return build_trie(rel, attrs, dict_kind, spec)
+
+        monkeypatch.setattr(executor, "build_trie", spy)
+        q, agg = parse_query(self.QUERY.format(head="x,a,b"))
+        execute(q, self.plan(q), self.relations(), agg, StructurePolicy("hybrid"))
+        assert sorted(built) == [
+            ("S0", 3, HASH, LEAF_COUNT),
+            ("S1", 10, SORTED, LEAF_RANGE),
+            ("S2", 5, HASH, LEAF_SMALLVEC),
+        ]
+
+    def test_empty_subset_builds_no_trie(self, monkeypatch):
+        monkeypatch.setattr(executor, "build_trie", None)  # any build fails
+        rels = self.relations(s0=[(99,)])  # no x of S1 or S2
+        for head in ("x,a,b", "MIN(a,b)"):
+            q, agg = parse_query(self.QUERY.format(head=head))
+            for policy in POLICIES:
+                result, s = execute(q, self.plan(q), rels, agg, policy)
+                assert result.empty and result.matches_reference(nested_loop(q, rels, agg))
+                assert (s.trie_build_insertions, s.probes) == (0, 0)
+
+    def test_scan_first_plan_builds_in_full(self):
+        # The binary plan scans S1 at its root, so nothing is reduced: S0
+        # and S2 are built over all their rows.
+        q, agg = parse_query(self.QUERY.format(head="x,a,b"))
+        plan = convert_left_deep(q, ("S1", "S0", "S2"))
+        rels = self.relations()
+        for policy in POLICIES:
+            result, s = execute(q, plan, rels, agg, policy)
+            assert result.matches_reference(nested_loop(q, rels, agg))
+            assert s.trie_build_insertions == 3 + 200
+
+    def test_o3_dropping_every_atom(self):
+        # Under COUNT neither variable is live, so O3 prunes the whole
+        # generic-join plan and the count is R's total weight.
+        q, agg = parse_query("Q(COUNT) :- R(a,b)")
+        rels = {"R": Relation.from_rows("R", ("a", "b"), [(1, 2), (3, 4)], weights=[2, 5])}
+        plan = parse_plan("R(a)\nR(b)")
+        for policy in POLICIES:
+            result, s = execute(q, plan, rels, agg, policy)
+            assert result.count == 7 and s.trie_build_insertions == 0
 
 
 class TestBushyExecution:

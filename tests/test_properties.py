@@ -8,11 +8,13 @@ from unijoin.cli import main
 from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.oracle import nested_loop
 from unijoin.query import (
+    MODE_GENERIC_JOIN,
     BushyPlan,
     FreeJoinPlan,
     Subatom,
     convert_left_deep,
     format_plan,
+    optimize_plan,
     parse_query,
     plan_violation,
 )
@@ -150,18 +152,20 @@ def fuzz_query(draw, schema, kinds=("full", "proj", "count", "min")):
 
 
 @st.composite
-def fuzz_relations(draw, schema, min_repeats=0):
+def fuzz_relations(draw, schema, min_repeats=0, small=None):
     """One relation per atom: up to 8 drawn rows plus ``min_repeats`` to 4
     repeats of them, int or str per variable, and either no declared order
     or the rows sorted by a random permutation of the attributes, declared.
+    The relation named ``small``, if any, gets 0 to 3 rows and no repeats.
     Half the time every relation gets a weight from 1 to 3 per row."""
     cells = {v: draw(st.sampled_from((INT_CELLS, STR_CELLS))) for v in _variables(schema)}
     weighted = draw(st.booleans())
     rels = {}
     for name, vars_ in schema:
         attrs = tuple(f"c{i}" for i in range(len(vars_)))
-        rows = draw(st.lists(st.tuples(*(cells[v] for v in vars_)), max_size=8))
-        if rows:
+        cap = 3 if name == small else 8
+        rows = draw(st.lists(st.tuples(*(cells[v] for v in vars_)), max_size=cap))
+        if rows and name != small:
             rows += draw(st.lists(st.sampled_from(rows), min_size=min_repeats, max_size=4))
         order = draw(st.none() | st.permutations(attrs))
         if order is not None:
@@ -239,6 +243,18 @@ def fuzz_plan(draw, q):
     return FreeJoinPlan(tuple(tuple(node) for node in nodes))
 
 
+@st.composite
+def fuzz_gj_plan(draw, q):
+    """The generic-join rewrite of a random left-deep order whose every
+    prefix is connected, so no step is a cartesian product."""
+    order = [draw(st.sampled_from(q.atoms))]
+    while len(order) < len(q.atoms):
+        bound = {v for a in order for v in a.vars}
+        joinable = [a for a in q.atoms if a not in order and bound & set(a.vars)]
+        order.append(draw(st.sampled_from(joinable)))
+    return optimize_plan(q, convert_left_deep(q, order), MODE_GENERIC_JOIN)
+
+
 def _connected(atoms) -> bool:
     seen, rest = set(atoms[0].vars), atoms[1:]
     while joined := [a for a in rest if seen & set(a.vars)]:
@@ -291,6 +307,22 @@ def test_random_plans_match_reference(case):
     reference = nested_loop(q, _expanded(rels), agg)
     assert nested_loop(q, rels, agg) == reference
     for policy, opts in FLAT_STRATEGIES:
+        result, _ = execute(q, plan, rels, agg, policy, opts)
+        assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generic_join_plans_match_reference(data):
+    # A generic-join root walks trie keys, so execute semijoin-reduces its
+    # relations first; one relation with 0-3 rows makes it drop rows.
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    q, agg = parse_query(data.draw(fuzz_query(schema)))
+    small = data.draw(st.sampled_from([name for name, _ in schema]))
+    rels = data.draw(fuzz_relations(schema, small=small))
+    plan = data.draw(fuzz_gj_plan(q))
+    reference = nested_loop(q, _expanded(rels), agg)
+    for policy, opts in STRATEGIES:
         result, _ = execute(q, plan, rels, agg, policy, opts)
         assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
 

@@ -75,6 +75,33 @@ class TestRelation:
         assert rel.size == 0
         assert rel.kind("a") is None
 
+    def test_rows_without_attributes_rejected(self):
+        # Columns are the only row storage, so three () rows would silently
+        # become a relation of size 0 and lose their multiplicity.
+        with pytest.raises(SchemaError, match="without attributes"):
+            Relation.from_rows("Z", (), [(), (), ()])
+        with pytest.raises(SchemaError, match="without attributes"):
+            Relation.from_rows("Z", (), [()], weights=[3])
+        empty = Relation.from_rows("Z", (), [])
+        assert empty.size == 0 and empty.rows() == []
+
+    def test_take(self):
+        rel = Relation.from_rows(
+            "R", ("a", "b"), [(1, "x"), (2, "y"), (2, "z"), (3, "w")],
+            sorted_by=("a",), weights=[4, 5, 6, 7],
+        )
+        out = rel.take([1, 3])
+        assert (out.name, out.attrs, out.sorted_by) == ("R", ("a", "b"), ("a",))
+        assert out.rows() == [(2, "y"), (3, "w")]
+        assert out.weights == [5, 7]
+        assert out.columns["a"] is not rel.columns["a"]
+        assert rel.take([]).size == 0
+        renamed = rel.take([3, 0], "R2", ("b",))
+        assert (renamed.name, renamed.sorted_by) == ("R2", ("b",))
+        assert (renamed.rows(), renamed.weights) == ([(3, "w"), (1, "x")], [7, 4])
+        with pytest.raises(SortednessError):
+            rel.take([3, 0])  # a permutation must name the order it sorts by
+
 
 class TestWeights:
     def test_weights_kept(self):
