@@ -5,9 +5,6 @@ Subcommands:
 * ``run``   -- load a catalog, execute one query under one strategy, print
   the result summary and counters, optionally verify against the
   brute-force evaluator.
-* ``bench`` -- execute one query under a matrix of strategies, repeating
-  each cell and reporting mean timings plus counters, as a table and as
-  JSON.
 * ``gen-triangle`` -- write the adversarial triangle instance family to
   CSV files plus a ready-made catalog.
 
@@ -26,7 +23,6 @@ files hold one plan node per line, subatoms comma-separated.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -46,7 +42,6 @@ from .executor import (
     check_against_oracle,
     execute,
 )
-from .oracle import nested_loop
 from .query import (
     AGG_COUNT,
     AGG_FULL,
@@ -135,31 +130,14 @@ def _resolve_agg(q, default_agg, agg_flag: str | None):
     raise QueryError(f"unknown aggregate {agg_flag!r}")
 
 
-def _apply_leaf_flag(opts: OptConfig, leaf_flag: str) -> OptConfig:
-    """Force a leaf family by adjusting the relevant toggles."""
-    if leaf_flag == "auto":
-        return opts
-    kw = dict(o3=opts.o3, o5=opts.o5)
-    if leaf_flag == "vec":
-        return OptConfig(o1=True, o2=False, o4=opts.o4, **kw)
-    if leaf_flag == "smallvec":
-        return OptConfig(o1=True, o2=True, o4=opts.o4, **kw)
-    if leaf_flag == "count":
-        return OptConfig(o1=opts.o1, o2=opts.o2, o4=True, **kw)
-    if leaf_flag == "hashmap":
-        return OptConfig(o1=False, o2=False, o4=False, **kw)
-    raise PlanError(f"unknown leaf choice {leaf_flag!r}")
-
-
-def _strategy(opts_text: str, leaf_flag: str, dicts_flag: str):
+def _strategy(opts_text: str, dicts_flag: str):
     """(OptConfig, StructurePolicy) from the flags; a bad value is a
     validation error, reported before any catalog is loaded.  ``explicit``
     is refused: the command line cannot give its per-relation choices."""
     if dicts_flag == POLICY_EXPLICIT:
         raise PlanError("--dicts explicit: the command line cannot give per-relation choices")
     try:
-        opts = _apply_leaf_flag(OptConfig.from_text(opts_text), leaf_flag)
-        return opts, StructurePolicy(dicts_flag)
+        return OptConfig.from_text(opts_text), StructurePolicy(dicts_flag)
     except ExecutionError as exc:
         raise PlanError(str(exc)) from None
 
@@ -200,7 +178,7 @@ def _first_difference(result, reference):
 
 
 def cmd_run(args) -> int:
-    opts, policy = _strategy(args.opts, args.leaf, args.dicts)
+    opts, policy = _strategy(args.opts, args.dicts)
     if args.limit < 0:
         raise PlanError(f"--limit must be non-negative, got {args.limit}")
     relations = load_catalog(args.catalog)
@@ -229,71 +207,6 @@ def cmd_run(args) -> int:
                       f" expected {reference}")
             return EXIT_CHECK_FAIL
     return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    plans = [p for p in args.plans.split(",") if p]
-    dicts = [d for d in args.dicts.split(",") if d]
-    opt_texts = [o for o in args.opts_list.split(";") if o]
-    if not plans or not dicts or not opt_texts:
-        raise PlanError("empty strategy matrix: nothing to benchmark")
-    if args.repeat < 1:
-        raise PlanError("--repeat must be positive")
-    strategies = [(d, _strategy(o, args.leaf, d)) for d in dicts for o in opt_texts]
-    relations = load_catalog(args.catalog)
-    q, default_agg = parse_query(_read_text(args.query).strip())
-    agg = _resolve_agg(q, default_agg, args.agg)
-    reference = nested_loop(q, relations, agg) if args.check else None
-
-    cells = []
-    for plan_flag in plans:
-        plan = _resolve_plan(q, plan_flag)
-        for dict_flag, (opts, policy) in strategies:
-            build_ms = []
-            exec_ms = []
-            result = stats = None
-            for _ in range(args.repeat):
-                result, stats = execute(q, plan, relations, agg, policy, opts)
-                build_ms.append(stats.build_ms)
-                exec_ms.append(stats.exec_ms)
-            verdict = None
-            if reference is not None:
-                verdict = "PASS" if result.matches_reference(reference) else "FAIL"
-            cell = {
-                "plan": plan_flag,
-                "dicts": dict_flag,
-                "opts": opts.label(),
-                "repeat": args.repeat,
-                "mean_build_ms": round(sum(build_ms) / len(build_ms), 3),
-                "mean_exec_ms": round(sum(exec_ms) / len(exec_ms), 3),
-                "stats": stats.to_dict(),
-            }
-            if verdict is not None:
-                cell["check"] = verdict
-            cells.append(cell)
-
-    header = f"{'plan':8} {'dicts':8} {'opts':18} {'build_ms':>9} {'exec_ms':>9} " \
-             f"{'probes':>9} {'inter':>9} {'out':>9}"
-    print(header)
-    print("-" * len(header))
-    failed = False
-    for c in cells:
-        s = c["stats"]
-        line = (
-            f"{c['plan']:8} {c['dicts']:8} {c['opts']:18} "
-            f"{c['mean_build_ms']:>9.3f} {c['mean_exec_ms']:>9.3f} "
-            f"{s['probes']:>9} {s['intermediate_tuples']:>9} {s['output_tuples']:>9}"
-        )
-        if "check" in c:
-            line += f"  {c['check']}"
-            failed = failed or c["check"] == "FAIL"
-        print(line)
-    doc = json.dumps({"query": str(q), "cells": cells}, indent=2)
-    if args.json:
-        Path(args.json).write_text(doc + "\n", encoding="utf-8")
-    else:
-        print(doc)
-    return EXIT_CHECK_FAIL if failed else EXIT_OK
 
 
 def cmd_gen_triangle(args) -> int:
@@ -346,15 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--catalog", required=True, help="catalog file")
-        p.add_argument("--query", required=True, help="query file")
-        p.add_argument("--leaf", default="auto",
-                       help="auto | vec | smallvec | count | hashmap")
-        p.add_argument("--agg", default=None, help="full | count | min:v1,v2")
-
     p_run = sub.add_parser("run", help="execute one query under one strategy")
-    common(p_run)
+    p_run.add_argument("--catalog", required=True, help="catalog file")
+    p_run.add_argument("--query", required=True, help="query file")
+    p_run.add_argument("--agg", default=None, help="full | count | min:v1,v2")
     p_run.add_argument("--plan", default="binary", help="binary | gj | fj | file:PATH")
     p_run.add_argument("--dicts", default="hybrid", help="hash | sorted | hybrid")
     p_run.add_argument("--opts", default="all", help="comma list of O1..O5, all, or none")
@@ -363,17 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stats", default="text", choices=("text", "json", "none"))
     p_run.add_argument("--limit", type=int, default=20, help="max tuples to print")
     p_run.set_defaults(func=cmd_run)
-
-    p_bench = sub.add_parser("bench", help="run a strategy matrix with repeats")
-    common(p_bench)
-    p_bench.add_argument("--plans", default="binary,gj,fj")
-    p_bench.add_argument("--dicts", default="hash,sorted,hybrid")
-    p_bench.add_argument("--opts-list", default="all", dest="opts_list",
-                         help="semicolon-separated opt configurations")
-    p_bench.add_argument("--repeat", type=int, default=5)
-    p_bench.add_argument("--check", action="store_true")
-    p_bench.add_argument("--json", default=None, help="write the JSON report here")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen-triangle",
                            help="write the adversarial triangle family to CSV")

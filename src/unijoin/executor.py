@@ -74,6 +74,7 @@ from .trie import (
     SORTED,
     LeafSpec,
     build_trie,
+    key_paths,
     leaf_offsets,
     leaf_size,
 )
@@ -241,15 +242,6 @@ class _AtomAccess:
         self.slots = [root] + [None] * nparts
 
 
-def _key_paths(node, depth):
-    """(key path, child) for every path ``depth`` trie levels below ``node``,
-    in key order, expanded one level at a time (no recursion)."""
-    pairs = [((), node)]
-    for _ in range(depth):
-        pairs = [(path + (key,), child) for path, n in pairs for key, child in n.items()]
-    return pairs
-
-
 def _source(mode, acc, idx, bind):
     """(items, count) a node's first subatom iterates: row offsets, or
     (key, child) pairs of one trie level (``bind`` is its variable) or
@@ -262,7 +254,7 @@ def _source(mode, acc, idx, bind):
         return offsets, len(offsets)
     if bind.__class__ is str:
         return node.items(), len(node)
-    paths = _key_paths(node, len(bind))
+    paths = key_paths(node, len(bind))
     return paths, len(paths)
 
 
@@ -506,24 +498,27 @@ def execute(
     else:  # itemgetter of one name returns the bare value, of none fails
         out_key = lambda b: tuple(b[v] for v in out_vars)
 
+    def fold_min(vals):
+        nonlocal minima
+        if minima is None:
+            minima = vals
+        else:
+            minima = [m if m <= x else x for m, x in zip(minima, vals)]
+        stats.min_ops += len(agg_vars)
+
     def emit(mult: int):
-        nonlocal count, minima
+        nonlocal count
         stats.output_tuples += mult
         if agg.kind == AGG_COUNT:
             count += mult
         elif agg.kind == AGG_MIN:
-            vals = [binding[v] for v in agg_vars]
-            if minima is None:
-                minima = vals
-            else:
-                minima = [m if m <= x else x for m, x in zip(minima, vals)]
-            stats.min_ops += len(agg_vars)
+            fold_min([binding[v] for v in agg_vars])
         else:
             key = out_key(binding)
             bag[key] = bag.get(key, 0) + mult
 
     def finish_factorized(mult: int):
-        nonlocal count, minima
+        nonlocal count
         total = mult
         branches = []
         for mode, acc, idx, bind, _ in nodes[suffix_start:]:
@@ -543,12 +538,7 @@ def execute(
                 if v in agg_vars:
                     branch_min[v] = min(col[off] for off in offsets)
                     stats.min_ops += len(offsets)
-        vals = [branch_min[v] if v in branch_min else binding[v] for v in agg_vars]
-        if minima is None:
-            minima = vals
-        else:
-            minima = [m if m <= x else x for m, x in zip(minima, vals)]
-        stats.min_ops += len(agg_vars)
+        fold_min([branch_min[v] if v in branch_min else binding[v] for v in agg_vars])
 
     if suffix_start < n_nodes:
         finish = finish_factorized

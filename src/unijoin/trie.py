@@ -20,13 +20,15 @@ Dictionaries come in two kinds: ``hash`` (a plain dict) and ``sorted``
 over k keys is charged ``k.bit_length()`` comparisons, the most that
 ``bisect_left`` makes, whether the key is found or not.
 
-A hash trie is built one row at a time.  A sorted trie is built from run
-boundaries: in a relation sorted by the key attributes every key prefix
-occupies a contiguous run of rows, so the build finds where runs start with
-C-level passes over the key columns, makes one leaf per deepest run and
-folds the runs upward into sorted dictionaries; Python code runs once per
-group, not once per row.  Built tries are immutable; builders are
-single-writer.
+A hash trie groups the rows on their whole key path in one pass over the
+rows, then nests the paths into one dictionary per level, keys in
+first-seen order.  A sorted trie is built from run boundaries: in a relation
+sorted by the key attributes every key prefix occupies a contiguous run of
+rows, so the build finds where runs start with C-level passes over the key
+columns, makes one leaf per deepest run and folds the runs upward into
+sorted dictionaries; Python code runs once per group, not once per row.  A
+trie without levels is one run of every row.  Built tries are immutable;
+builders are single-writer.
 """
 
 from __future__ import annotations
@@ -115,17 +117,7 @@ class Trie:
 
     def paths(self) -> dict[tuple, object]:
         """Map each root-to-leaf key path to its leaf."""
-        out = {}
-
-        def walk(node, depth, prefix):
-            if depth == len(self.levels):
-                out[prefix] = node
-                return
-            for key, child in node.items():
-                walk(child, depth + 1, prefix + (key,))
-
-        walk(self.root, 0, ())
-        return out
+        return dict(key_paths(self.root, len(self.levels)))
 
     def lookup_path(self, keys):
         """Descend the full key path; returns the leaf or None."""
@@ -140,6 +132,15 @@ class Trie:
                 if node is _MISSING:
                     return None
         return node
+
+
+def key_paths(node, depth):
+    """(key path, child) for every path ``depth`` trie levels below ``node``,
+    in key order, expanded one level at a time (no recursion)."""
+    pairs = [((), node)]
+    for _ in range(depth):
+        pairs = [(path + (key,), child) for path, n in pairs for key, child in n.items()]
+    return pairs
 
 
 def leaf_offsets(leaf, spec: LeafSpec):
@@ -197,38 +198,24 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
 
     size = rel.size
     weights = rel.weights
-    nlevels = len(key_attrs)
-    if nlevels == 0:
-        return Trie(rel, (), leaf, _zero_level_leaf(leaf, rel), size)
+    if not key_attrs:
+        if size == 0 and leaf.kind == LEAF_RANGE:
+            raise ExecutionError("range leaf cannot represent an empty group")
+        return Trie(rel, (), leaf, _run_leaves(leaf.kind, [0], [size], weights)[0], size)
     cols = [rel.columns[a] for a in key_attrs]
     if dict_kind == SORTED:
         root = _build_sorted(cols, leaf, weights)
-    elif nlevels == 1:
+    elif len(cols) == 1:
         root = _build_hash1(cols[0], leaf, weights)
     else:
-        root = _build_hash(cols, leaf, weights)
+        root = _nest(_build_hash1(zip(*cols), leaf, weights))
     return Trie(rel, tuple((a, dict_kind) for a in key_attrs), leaf, root, size)
 
 
-def _zero_level_leaf(leaf: LeafSpec, rel: Relation):
-    kind = leaf.kind
-    if kind == LEAF_COUNT:
-        return rel.total_weight
-    size = rel.size
-    if kind == LEAF_HASHMAP:
-        return {i: 1 for i in range(size)}
-    if kind == LEAF_RANGE:
-        if size == 0:
-            raise ExecutionError("range leaf cannot represent an empty group")
-        return range(size)
-    if kind == LEAF_SMALLVEC and size == 1:
-        return 0
-    return list(range(size))
-
-
 def _build_hash1(col, leaf: LeafSpec, weights=None):
-    """Specialized single-level hash build; the hot path for trie creation.
-    ``weights`` (None: all 1) only matter to count leaves."""
+    """Hash dictionary from each row's key in ``col`` (a value, or a key-path
+    tuple) to the leaf of the rows holding it; the hot path for trie
+    creation.  ``weights`` (None: all 1) only matter to count leaves."""
     root: dict = {}
     get = root.get
     kind = leaf.kind
@@ -263,24 +250,18 @@ def _build_hash1(col, leaf: LeafSpec, weights=None):
     return root
 
 
-def _build_hash(cols, leaf: LeafSpec, weights=None):
-    """Hash trie over several levels, one row at a time."""
+def _nest(flat):
+    """Nested dictionaries from one keyed by whole key paths, each level's
+    keys in first-seen order."""
     root: dict = {}
-    last = len(cols) - 1
-    kind = leaf.kind
-    for off, w in zip(range(len(cols[0])), repeat(1) if weights is None else weights):
+    for path, leaf in flat.items():
         node = root
-        for depth, col in enumerate(cols):
-            key = col[off]
-            child = node.get(key, _MISSING)
-            if depth < last:
-                if child is _MISSING:
-                    child = node[key] = {}
-                node = child
-            elif child is _MISSING:
-                node[key] = _fresh_leaf(kind, off, w)
-            else:
-                node[key] = _leaf_insert(child, kind, off, w)
+        for key in path[:-1]:
+            child = node.get(key)
+            if child is None:
+                child = node[key] = {}
+            node = child
+        node[path[-1]] = leaf
     return root
 
 
@@ -290,7 +271,6 @@ def _build_sorted(cols, leaf: LeafSpec, weights=None):
     Row i starts a run at depth d when any of ``cols[:d + 1]`` differs
     between rows i - 1 and i; each deepest run becomes one leaf, and the
     runs of depth d + 1 inside one run of depth d become one dictionary.
-    A weighted count leaf is a difference of the weights' prefix sums.
     """
     n = len(cols[0])
     if n == 0:
@@ -309,21 +289,7 @@ def _build_sorted(cols, leaf: LeafSpec, weights=None):
     lo = starts[-1]
     hi = lo[1:]
     hi.append(n)
-    kind = leaf.kind
-    if kind == LEAF_RANGE:
-        nodes = list(map(range, lo, hi))
-    elif kind == LEAF_COUNT:
-        if weights is None:
-            nodes = list(map(sub, hi, lo))
-        else:
-            upto = list(accumulate(weights, initial=0))
-            nodes = list(map(sub, map(upto.__getitem__, hi), map(upto.__getitem__, lo)))
-    elif kind == LEAF_VEC:
-        nodes = list(map(list, map(range, lo, hi)))
-    elif kind == LEAF_SMALLVEC:
-        nodes = [a if b - a == 1 else list(range(a, b)) for a, b in zip(lo, hi)]
-    else:
-        nodes = list(map(dict.fromkeys, map(range, lo, hi), repeat(1)))
+    nodes = _run_leaves(leaf.kind, lo, hi, weights)
 
     for depth in range(len(cols) - 1, 0, -1):
         keys = list(map(cols[depth].__getitem__, starts[depth]))
@@ -336,25 +302,18 @@ def _build_sorted(cols, leaf: LeafSpec, weights=None):
     return SortedDict(list(map(cols[0].__getitem__, starts[0])), nodes)
 
 
-def _fresh_leaf(kind: str, off: int, weight: int):
+def _run_leaves(kind: str, lo, hi, weights=None):
+    """One leaf per run of rows ``lo[i]`` to ``hi[i] - 1``.  A weighted
+    count leaf is a difference of the weights' prefix sums."""
+    if kind == LEAF_RANGE:
+        return list(map(range, lo, hi))
     if kind == LEAF_COUNT:
-        return weight
+        if weights is None:
+            return list(map(sub, hi, lo))
+        upto = list(accumulate(weights, initial=0))
+        return list(map(sub, map(upto.__getitem__, hi), map(upto.__getitem__, lo)))
     if kind == LEAF_VEC:
-        return [off]
+        return list(map(list, map(range, lo, hi)))
     if kind == LEAF_SMALLVEC:
-        return off  # singleton inline
-    return {off: 1}
-
-
-def _leaf_insert(leaf, kind: str, off: int, weight: int):
-    """Insert into an existing leaf; returns the (possibly replaced) leaf.
-    Only a count leaf reads ``weight``: the others hold offsets."""
-    if kind == LEAF_COUNT:
-        return leaf + weight
-    if kind == LEAF_SMALLVEC and leaf.__class__ is int:
-        return [leaf, off]
-    if kind == LEAF_VEC or kind == LEAF_SMALLVEC:
-        leaf.append(off)
-        return leaf
-    leaf[off] = leaf.get(off, 0) + 1
-    return leaf
+        return [a if b - a == 1 else list(range(a, b)) for a, b in zip(lo, hi)]
+    return list(map(dict.fromkeys, map(range, lo, hi), repeat(1)))

@@ -1,4 +1,4 @@
-"""Command-line driver: catalog parsing, run/bench/gen-triangle, exit codes."""
+"""Command-line driver: catalog parsing, run/gen-triangle, exit codes."""
 
 import json
 
@@ -6,6 +6,7 @@ import pytest
 
 from unijoin.cli import load_catalog, main
 from unijoin.errors import SchemaError
+from unijoin.storage import load_csv
 
 
 @pytest.fixture
@@ -123,27 +124,35 @@ class TestRun:
         )
         assert code == 2
 
+    def test_empty_csv_is_zero_rows(self, workspace, capsys):
+        (workspace / "s.csv").write_text("")
+        rel = load_csv(workspace / "s.csv", "S", [("a", "int"), ("b", "int")], ("a", "b"))
+        assert rel.size == 0 and rel.rows() == []
+        assert self.run(workspace, "--check", "--stats", "none") == 0
+        out = capsys.readouterr().out
+        assert "cardinality=0" in out and "check: PASS" in out
+
     def test_leaf_flag(self, workspace, capsys):
-        for leaf in ("vec", "smallvec", "hashmap", "count"):
+        # One toggle set per leaf family: smallvec or vec offset leaves with
+        # count leaves for probe-only relations (O4), then hashmap leaves
+        # with and without the other toggles.
+        for opts in ("all", "O1,O3,O4,O5", "O3,O5", "none"):
             assert self.run(
-                workspace, "--leaf", leaf, "--check", "--stats", "none"
+                workspace, "--opts", opts, "--check", "--stats", "none"
             ) == 0
+            assert "check: PASS" in capsys.readouterr().out
 
 
 BAD_FLAGS = (
     ("--opts", "O9"),
     ("--dicts", "bogus"),
     ("--dicts", "explicit"),
-    ("--leaf", "smallvec:2"),
-    ("--leaf", "smallvec:abc"),
 )
 
 
-@pytest.mark.parametrize("command", ("run", "bench"))
+@pytest.mark.parametrize("command", ("run",))
 @pytest.mark.parametrize("flag,value", BAD_FLAGS)
 def test_bad_flag_exit_2(workspace, capsys, command, flag, value):
-    if command == "bench" and flag == "--opts":
-        flag = "--opts-list"
     code = main(
         [
             command,
@@ -155,42 +164,6 @@ def test_bad_flag_exit_2(workspace, capsys, command, flag, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-class TestBench:
-    def test_table_and_json(self, workspace, capsys, tmp_path):
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "bench",
-                "--catalog", str(workspace / "catalog.txt"),
-                "--query", str(workspace / "query.txt"),
-                "--plans", "binary,gj",
-                "--dicts", "hash,hybrid",
-                "--repeat", "2",
-                "--check",
-                "--json", str(report),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "plan" in out and "binary" in out and "PASS" in out
-        doc = json.loads(report.read_text())
-        assert len(doc["cells"]) == 4
-        for cell in doc["cells"]:
-            assert cell["check"] == "PASS"
-            assert cell["repeat"] == 2
-
-    def test_empty_matrix_is_error(self, workspace):
-        code = main(
-            [
-                "bench",
-                "--catalog", str(workspace / "catalog.txt"),
-                "--query", str(workspace / "query.txt"),
-                "--plans", "",
-            ]
-        )
-        assert code == 2
 
 
 class TestGenTriangle:

@@ -56,14 +56,18 @@ rows2 = st.lists(
 
 @given(rows2, st.sampled_from(((), ("a",), ("a", "b"))))
 def test_leaf_shapes_equivalent(rows, keys):
-    # No key is the zero-level leaf, one key the single-level hash build,
-    # two keys the generic build; each promotes singletons to lists.
+    # No key is the zero-level leaf (one run of every row), one key the
+    # single-level hash build, two keys the hash build over key-path tuples
+    # nested level by level; each promotes singletons to lists, and a count
+    # leaf holds the group size.
     rel = Relation.from_rows("R", ("a", "b"), rows, sorted_by=("a", "b"))
     vec = build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC))
     sv = build_trie(rel, keys, HASH, LeafSpec(LEAF_SMALLVEC))
+    cnt = build_trie(rel, keys, HASH, LeafSpec(LEAF_COUNT))
     got = {p: list(leaf_offsets(leaf, sv.leaf)) for p, leaf in sv.paths().items()}
     want = {p: list(leaf) for p, leaf in vec.paths().items()}
     assert got == want
+    assert cnt.paths() == {p: len(leaf) for p, leaf in vec.paths().items()}
 
 
 # Three-column rows with int or str keys, sizes 0-60 and small domains, so
@@ -83,12 +87,19 @@ def _contents(trie):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows3, st.sampled_from((("a",), ("a", "b"), ("a", "b", "c"))))
-def test_sorted_build_matches_hash_build(rows, keys):
-    # The run-boundary sorted build against the row-at-a-time hash build,
-    # for every leaf kind legal under sorted dictionaries; a range leaf is
-    # compared with a vec leaf, the nearest hash shape.
-    rel = Relation.from_rows("R", ("a", "b", "c"), rows, sorted_by=("a", "b", "c"))
+@given(rows3, st.sampled_from((("a",), ("a", "b"), ("a", "b", "c"))), st.data())
+def test_sorted_build_matches_hash_build(rows, keys, data):
+    # The run-boundary sorted build against the hash build, for every leaf
+    # kind legal under sorted dictionaries; a range leaf is compared with a
+    # vec leaf, the nearest hash shape.  Some relations carry a weight
+    # per row, which only count leaves read: prefix-sum differences in the
+    # sorted build, per-row sums in the hash build.
+    weights = data.draw(
+        st.none() | st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows))
+    )
+    rel = Relation.from_rows(
+        "R", ("a", "b", "c"), rows, sorted_by=("a", "b", "c"), weights=weights
+    )
     for kind in (LEAF_RANGE, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_HASHMAP):
         srt = build_trie(rel, keys, SORTED, LeafSpec(kind))
         ref = build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC if kind == LEAF_RANGE else kind))

@@ -1,4 +1,4 @@
-"""Trie building, the four leaf shapes, and the two dictionary kinds.
+"""Trie building, the five leaf shapes, and the two dictionary kinds.
 
 The core guarantee is observational equivalence: whatever leaf shape or
 dictionary kind a trie uses, the multiset of (key path, offset group) it
@@ -148,6 +148,9 @@ class TestBuildTrie:
         rel = rand_sorted_relation(random.Random(6), 7, 5)
         trie = build_trie(rel, (), HASH, LeafSpec(LEAF_COUNT))
         assert trie.root == 7
+        weighted = Relation.from_rows("W", rel.attrs, rel.rows(), weights=[1, 2, 3, 1, 1, 4, 2])
+        trie = build_trie(weighted, (), HASH, LeafSpec(LEAF_COUNT))
+        assert trie.root == weighted.total_weight == 14
 
     def test_sorted_requires_declared_prefix(self):
         rel = Relation.from_rows("R", ("a", "b"), [(1, 2)], sorted_by=("b", "a"))
