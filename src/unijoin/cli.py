@@ -36,7 +36,6 @@ from .errors import (
     SortednessError,
 )
 from .executor import (
-    POLICY_EXPLICIT,
     OptConfig,
     StructurePolicy,
     check_against_oracle,
@@ -54,7 +53,7 @@ from .query import (
     parse_plan,
     parse_query,
 )
-from .storage import gen_adversarial_triangle, load_csv
+from .storage import gen_adversarial_triangle, load_csv, non_utf8_error
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,34 +67,36 @@ def load_catalog(path: str):
     """Parse a catalog file into {name: Relation}."""
     base = Path(path).parent
     relations = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 4):
-                raise SchemaError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
-            name, rel_path, schema_text = fields[:3]
-            if name in relations:
-                raise SchemaError(f"{path}:{lineno}: duplicate relation name {name!r}")
-            schema = []
-            for col in schema_text.split(","):
-                if ":" not in col:
-                    raise SchemaError(f"{path}:{lineno}: bad column spec {col!r}")
-                attr, kind = col.split(":", 1)
-                schema.append((attr, kind))
-            sorted_by = None
-            if len(fields) == 4:
-                if not fields[3].startswith("sorted_by="):
-                    raise SchemaError(f"{path}:{lineno}: expected sorted_by=..., got {fields[3]!r}")
-                sorted_by = tuple(fields[3][len("sorted_by="):].split(","))
-            relations[name] = load_csv(base / rel_path, name, schema, sorted_by)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise SchemaError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
+        name, rel_path, schema_text = fields[:3]
+        if name in relations:
+            raise SchemaError(f"{path}:{lineno}: duplicate relation name {name!r}")
+        schema = []
+        for col in schema_text.split(","):
+            if ":" not in col:
+                raise SchemaError(f"{path}:{lineno}: bad column spec {col!r}")
+            attr, kind = col.split(":", 1)
+            schema.append((attr, kind))
+        sorted_by = None
+        if len(fields) == 4:
+            if not fields[3].startswith("sorted_by="):
+                raise SchemaError(f"{path}:{lineno}: expected sorted_by=..., got {fields[3]!r}")
+            sorted_by = tuple(fields[3][len("sorted_by="):].split(","))
+        relations[name] = load_csv(base / rel_path, name, schema, sorted_by)
     return relations
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise non_utf8_error(path) from None
 
 
 def _resolve_plan(q, plan_flag: str):
@@ -132,10 +133,7 @@ def _resolve_agg(q, default_agg, agg_flag: str | None):
 
 def _strategy(opts_text: str, dicts_flag: str):
     """(OptConfig, StructurePolicy) from the flags; a bad value is a
-    validation error, reported before any catalog is loaded.  ``explicit``
-    is refused: the command line cannot give its per-relation choices."""
-    if dicts_flag == POLICY_EXPLICIT:
-        raise PlanError("--dicts explicit: the command line cannot give per-relation choices")
+    validation error, reported before any catalog is loaded."""
     try:
         return OptConfig.from_text(opts_text), StructurePolicy(dicts_flag)
     except ExecutionError as exc:

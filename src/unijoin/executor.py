@@ -2,16 +2,16 @@
 
 One evaluator runs every plan in the spectrum.  Before execution each plan
 node is compiled into a source and a flat tuple of probes.  The source is
-what the node's first subatom iterates: the row offsets of a relation scan
-or of a leaf, or the key paths of one or more trie levels.  At run time
-every node runs the same iterate-then-probe loop: per item it binds the
-source's variables, then descends each probe's trie levels (a dict lookup,
-or ``bisect`` on a sorted dictionary) and recurses into the next node when
-all hit.  Bindings accumulate down the node list; reaching the end of the
-plan emits one satisfying assignment with a multiplicity.  The probe,
-hit, comparison and intermediate counters are kept in local ints and added
-to ``ExecStats`` once per execution; a sorted lookup over k keys counts
-``k.bit_length()`` comparisons.
+what the node's first subatom iterates: the row offsets of a leaf (a scan
+walks a range leaf over every row), or the key paths of one or more trie
+levels.  At run time every node runs the same iterate-then-probe loop: per
+item it binds the source's variables, then descends each probe's trie levels
+(a dict lookup, or ``bisect`` on a sorted dictionary) and recurses into the
+next node when all hit.  Bindings accumulate down the node list; reaching
+the end of the plan emits one satisfying assignment with a multiplicity.
+The probe, hit, comparison and intermediate counters are kept in local ints
+and added to ``ExecStats`` once per execution; a sorted lookup over k keys
+counts ``k.bit_length()`` comparisons.
 
 Optimization toggles:
 
@@ -24,11 +24,11 @@ Optimization toggles:
   count/min aggregates (loop-invariant aggregation)
 
 A weighted relation (see ``storage``) counts each row as many times as its
-weight: a scan or leaf walk multiplies the multiplicity by the row's weight,
-a count leaf sums the weights, and a weighted relation that is only probed
-always gets a count leaf, since a list of offsets would lose the weights.
-``execute_bushy`` hands each materialized stage on as a weighted relation of
-its distinct tuples.
+weight: a leaf walk, a scan's included, multiplies the multiplicity by the
+row's weight, a count leaf sums the weights, and a weighted relation that is
+only probed always gets a count leaf, since a list of offsets would lose the
+weights.  ``execute_bushy`` hands each materialized stage on as a weighted
+relation of its distinct tuples.
 
 A plan whose root node walks trie keys (a generic-join intersection) is
 semijoin-reduced before any trie is built (Yannakakis, VLDB 1981): for each
@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from operator import itemgetter
 
@@ -83,7 +83,6 @@ from .trie import _MISSING
 POLICY_HASH = "hash"
 POLICY_SORTED = "sorted"
 POLICY_HYBRID = "hybrid"
-POLICY_EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -130,19 +129,17 @@ class StructurePolicy:
     dictionaries everywhere, sorting a copy of any relation whose declared
     order does not cover the trie's key attributes (each copy bumps the
     ``sort_ops`` counter).  ``hybrid`` uses sorted dictionaries with range
-    leaves only where a base relation is iterated and its declared order
-    already matches the trie's key attributes, and hash structures
-    everywhere else: for intermediates, which are never worth sorting, and
-    for probe-only relations, where a hash lookup beats a bisect per level.
-    ``explicit`` takes a per-relation mapping from relation name to
-    ``(dict_kind, LeafSpec)``.
+    leaves only where a relation is iterated and its declared order already
+    matches the trie's key attributes, and hash structures everywhere else:
+    for intermediates, which are never worth sorting and so declare no
+    order, and for probe-only relations, where a hash lookup beats a bisect
+    per level.
     """
 
     mode: str = POLICY_HYBRID
-    choices: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in (POLICY_HASH, POLICY_SORTED, POLICY_HYBRID, POLICY_EXPLICIT):
+        if self.mode not in (POLICY_HASH, POLICY_SORTED, POLICY_HYBRID):
             raise ExecutionError(f"unknown structure policy {self.mode!r}")
 
 
@@ -224,15 +221,15 @@ def _empty_result(agg: AggregationSpec, out_vars) -> ResultBag:
 
 
 # What a plan node's first subatom iterates.
-_SCAN = 0
 _ITER_KEYS = 1
 _ITER_LEAF = 2
 
 
 class _AtomAccess:
-    """How one atom's relation is touched by a plan: a scan (``spec`` is
-    None) or a trie.  ``slots[i]`` is the trie node subatom ``i`` starts
-    from: the root for ``i == 0``, else the node subatom ``i - 1`` reached."""
+    """How one atom's relation is touched by a plan: a trie with ``spec``
+    leaves, where a scan's trie is just a range leaf over every row.
+    ``slots[i]`` is the trie node subatom ``i`` starts from: the root for
+    ``i == 0``, else the node subatom ``i - 1`` reached."""
 
     __slots__ = ("rel", "spec", "slots")
 
@@ -243,11 +240,9 @@ class _AtomAccess:
 
 
 def _source(mode, acc, idx, bind):
-    """(items, count) a node's first subatom iterates: row offsets, or
-    (key, child) pairs of one trie level (``bind`` is its variable) or
+    """(items, count) a node's first subatom iterates: a leaf's row offsets,
+    or (key, child) pairs of one trie level (``bind`` is its variable) or
     (key path, child) pairs of several.  The count ignores weights."""
-    if mode == _SCAN:
-        return range(acc.rel.size), acc.rel.size
     node = acc.slots[idx]
     if mode == _ITER_LEAF:
         offsets = leaf_offsets(node, acc.spec)
@@ -287,7 +282,7 @@ def _semijoin_reduce(node, relations, var_attr):
     return out
 
 
-def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
+def _choose_structures(rel, levels, probe_only, policy, opts):
     """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made)."""
 
     # Offsets cannot carry weights, so a weighted probe-only relation needs
@@ -315,25 +310,11 @@ def _choose_structures(rel, levels, probe_only, policy, opts, is_intermediate):
         if prefix_ok:
             return rel, SORTED, sorted_leaf(), False
         return rel.sorted_copy(levels), SORTED, sorted_leaf(), True
-    if policy.mode == POLICY_HYBRID:
-        # A probe-only relation is never walked in key order, so a bisect
-        # per level would buy nothing over one dict lookup.
-        if prefix_ok and not is_intermediate and not probe_only:
-            return rel, SORTED, sorted_leaf(), False
-        return rel, HASH, hash_leaf(), False
-    # explicit
-    try:
-        dict_kind, spec = policy.choices[rel.name]
-    except KeyError:
-        raise ExecutionError(
-            f"explicit policy: no structure choice for relation {rel.name!r}"
-        ) from None
-    if probe_only and rel.weights is not None and spec.kind != LEAF_COUNT:
-        raise ExecutionError(
-            f"explicit policy: weighted relation {rel.name!r} is only probed, "
-            f"so it needs a count leaf, not {spec.kind!r}"
-        )
-    return rel, dict_kind, spec, False
+    # hybrid.  A probe-only relation is never walked in key order, so a
+    # bisect per level would buy nothing over one dict lookup.
+    if prefix_ok and not probe_only:
+        return rel, SORTED, sorted_leaf(), False
+    return rel, HASH, hash_leaf(), False
 
 
 def execute(
@@ -404,70 +385,59 @@ def execute(
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return _empty_result(agg, out_vars), stats
-    accesses: dict[str, _AtomAccess] = {}
-    # relation -> per part: ((var, is_sorted), ...) per trie level it
-    # descends, or None for the part that iterates rows (scan or leaf).
-    part_levels: dict[str, list] = {}
-    rels_in_plan = {s.relation for node in working.nodes for s in node}
-    for name in sorted(rels_in_plan):
-        parts = working.subatoms_of(name)
+    # (node, position) -> (access, part index, levels) for every subatom;
+    # levels is None for the part that iterates rows (a leaf, or a scan's
+    # range leaf), else the trie levels it descends, where a single hash
+    # level is just its variable and any other is (var, is_sorted) pairs.
+    parts: dict[tuple[int, int], tuple] = {}
+    for name in sorted({s.relation for node in working.nodes for s in node}):
+        subs = working.subatoms_of(name)
         rel = relations[name]
-        if len(parts) == 1 and parts[0][1] == 0:
-            accesses[name] = _AtomAccess(rel, None, None, 1)
-            part_levels[name] = [None]
-            continue
-        final_iterated = parts[-1][1] == 0
-        key_parts = parts[:-1] if final_iterated else parts
-        levels = tuple(v for _, _, sub in key_parts for v in sub.vars)
-        level_attrs = tuple(var_attr[(name, v)] for v in levels)
-        probe_only = not final_iterated
-        rel2, dict_kind, spec, sorted_copy = _choose_structures(
-            rel, level_attrs, probe_only, policy, opts, name in intermediate_names
-        )
-        if sorted_copy:
-            stats.sort_ops += 1
-        trie = build_trie(rel2, level_attrs, dict_kind, spec)
-        stats.trie_build_insertions += trie.insertions
-        if name in intermediate_names:
-            stats.deep_intermediate_tries += 1
-        is_sorted = [k == SORTED for _, k in trie.levels]
-        per_part = []
-        pos = 0
-        for _, _, sub in key_parts:
-            per_part.append(tuple(zip(sub.vars, is_sorted[pos : pos + len(sub.vars)])))
-            pos += len(sub.vars)
-        if final_iterated:
-            per_part.append(None)
-        part_levels[name] = per_part
-        accesses[name] = _AtomAccess(rel2, trie.root, spec, len(parts))
+        key_subs = subs[:-1] if subs[-1][1] == 0 else subs
+        is_sorted = False
+        if key_subs:
+            level_attrs = tuple(
+                var_attr[(name, v)] for _, _, sub in key_subs for v in sub.vars
+            )
+            rel, dict_kind, spec, sorted_copy = _choose_structures(
+                rel, level_attrs, len(key_subs) == len(subs), policy, opts
+            )
+            if sorted_copy:
+                stats.sort_ops += 1
+            trie = build_trie(rel, level_attrs, dict_kind, spec)
+            stats.trie_build_insertions += trie.insertions
+            if name in intermediate_names:
+                stats.deep_intermediate_tries += 1
+            acc = _AtomAccess(rel, trie.root, spec, len(subs))
+            is_sorted = dict_kind == SORTED
+        else:  # a scan
+            acc = _AtomAccess(rel, range(rel.size), LeafSpec(LEAF_RANGE), 1)
+        for idx, (ni, pi, sub) in enumerate(subs):
+            if idx == len(key_subs):
+                levels = None
+            elif is_sorted or len(sub.vars) != 1:
+                levels = tuple((v, is_sorted) for v in sub.vars)
+            else:
+                levels = sub.vars[0]
+            parts[(ni, pi)] = (acc, idx, levels)
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
     # Compile each node into (mode, access, part index, bind, probes), bind
     # being (var, column) pairs for row offsets, else the key variable(s).  A
     # probe is (slots, part index, levels, leaf spec or None): it descends
-    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``, where a single
-    # hash level is just its variable; the spec is set for an atom's final,
-    # probe-only part, whose group size multiplies.
-    part_counter: dict[str, int] = {}
-
-    def part(sub):
-        idx = part_counter.get(sub.relation, 0)
-        part_counter[sub.relation] = idx + 1
-        return accesses[sub.relation], idx, part_levels[sub.relation]
-
+    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``; the spec is set
+    # for an atom's final, probe-only part, whose group size multiplies.
     nodes = []
-    for first, *rest in working.nodes:
+    for ni, node in enumerate(working.nodes):
         probes = []
-        for sub in rest:
-            acc, idx, per_part = part(sub)
-            final = idx == len(per_part) - 1
-            levels = per_part[idx]
-            if len(levels) == 1 and not levels[0][1]:
-                levels = levels[0][0]
+        for pi in range(1, len(node)):
+            acc, idx, levels = parts[(ni, pi)]
+            final = idx + 2 == len(acc.slots)  # the atom's last part
             probes.append((acc.slots, idx, levels, acc.spec if final else None))
-        acc, idx, per_part = part(first)
-        if per_part[idx] is None:  # bind from the rows at each offset
-            mode = _SCAN if acc.spec is None else _ITER_LEAF
+        first = node[0]
+        acc, idx, levels = parts[(ni, 0)]
+        if levels is None:  # bind from the rows at each offset
+            mode = _ITER_LEAF
             bind = tuple(
                 (v, acc.rel.columns[var_attr[(first.relation, v)]]) for v in first.vars
             )
@@ -477,8 +447,8 @@ def execute(
         nodes.append((mode, acc, idx, bind, tuple(probes)))
 
     # A trailing run of single-subatom nodes whose iterator is terminal
-    # (leaf offsets or a full scan) touches nothing downstream, so count and
-    # min aggregates can combine those loops instead of nesting them.
+    # (leaf offsets, a scan's among them) touches nothing downstream, so
+    # count and min aggregates can combine those loops instead of nesting them.
     n_nodes = len(nodes)
     suffix_start = n_nodes
     if opts.o5 and agg.kind in (AGG_COUNT, AGG_MIN):
@@ -673,8 +643,7 @@ def check_against_oracle(
     relations: dict[str, Relation],
     agg: AggregationSpec,
     result: ResultBag,
-    budget: int = 100_000_000,
 ) -> tuple[bool, object]:
     """Re-evaluate by brute force and compare.  Returns (ok, reference)."""
-    reference = nested_loop(q, relations, agg, budget=budget)
+    reference = nested_loop(q, relations, agg)
     return result.matches_reference(reference), reference

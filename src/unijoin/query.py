@@ -189,9 +189,11 @@ def parse_query(text: str):
     if head_args.upper() == "COUNT" and "," not in head_args:
         agg = AggregationSpec(AGG_COUNT, ())
         head = tuple(body_vars_order)
-    elif head_args.upper().startswith("MIN(") or head_args.upper().startswith("MIN ("):
-        inner = head_args[head_args.index("(") + 1 : head_args.rindex(")")]
-        vars_ = tuple(v.strip() for v in inner.split(","))
+    elif re.match(r"MIN\s*\(", head_args, re.IGNORECASE):
+        m = re.fullmatch(r"MIN\s*\(([^()]*)\)", head_args, re.IGNORECASE)
+        if m is None:
+            raise QueryError(f"cannot parse MIN head: {head_args!r}")
+        vars_ = tuple(v.strip() for v in m.group(1).split(","))
         agg = AggregationSpec(AGG_MIN, vars_)
         head = tuple(body_vars_order)
         for v in vars_:

@@ -213,23 +213,21 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
                     else:
                         cols[ci].append(text)
     except UnicodeDecodeError:
-        where = _first_non_utf8_line(path)
-        raise LoadError(
-            f"{path}:{where}: not valid UTF-8" if where else f"{path}: not valid UTF-8"
-        ) from None
+        raise non_utf8_error(path) from None
     return Relation(name, attrs, columns, sorted_by=tuple(sorted_by) if sorted_by else None)
 
 
-def _first_non_utf8_line(path) -> int | None:
-    """Number of the first line that is not valid UTF-8 (text files are
-    decoded in blocks, so the error itself does not say which line)."""
+def non_utf8_error(path) -> LoadError:
+    """The error for a text file that is not valid UTF-8, naming its first
+    bad line (text files are decoded in blocks, so the decode error itself
+    does not say which line)."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return lineno
-    return None
+                return LoadError(f"{path}:{lineno}: not valid UTF-8")
+    return LoadError(f"{path}: not valid UTF-8")
 
 
 _OPS = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}

@@ -109,7 +109,6 @@ class Trie:
     attributes.  ``insertions`` counts the rows indexed.
     """
 
-    relation: Relation
     levels: tuple[tuple[str, str], ...]
     leaf: LeafSpec
     root: object
@@ -118,20 +117,6 @@ class Trie:
     def paths(self) -> dict[tuple, object]:
         """Map each root-to-leaf key path to its leaf."""
         return dict(key_paths(self.root, len(self.levels)))
-
-    def lookup_path(self, keys):
-        """Descend the full key path; returns the leaf or None."""
-        node = self.root
-        for (attr, kind), key in zip(self.levels, keys):
-            if kind == SORTED:
-                node, _ = node.find(key)
-                if node is _MISSING:
-                    return None
-            else:
-                node = node.get(key, _MISSING)
-                if node is _MISSING:
-                    return None
-        return node
 
 
 def key_paths(node, depth):
@@ -201,7 +186,7 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
     if not key_attrs:
         if size == 0 and leaf.kind == LEAF_RANGE:
             raise ExecutionError("range leaf cannot represent an empty group")
-        return Trie(rel, (), leaf, _run_leaves(leaf.kind, [0], [size], weights)[0], size)
+        return Trie((), leaf, _run_leaves(leaf.kind, [0], [size], weights)[0], size)
     cols = [rel.columns[a] for a in key_attrs]
     if dict_kind == SORTED:
         root = _build_sorted(cols, leaf, weights)
@@ -209,7 +194,7 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
         root = _build_hash1(cols[0], leaf, weights)
     else:
         root = _nest(_build_hash1(zip(*cols), leaf, weights))
-    return Trie(rel, tuple((a, dict_kind) for a in key_attrs), leaf, root, size)
+    return Trie(tuple((a, dict_kind) for a in key_attrs), leaf, root, size)
 
 
 def _build_hash1(col, leaf: LeafSpec, weights=None):

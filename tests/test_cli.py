@@ -100,12 +100,29 @@ class TestRun:
         )
         assert code == 1
 
-    def test_non_utf8_csv_exit_1(self, workspace, capsys):
-        (workspace / "s.csv").write_bytes(b"10,7\n1\xff,8\n20,9\n")
-        assert self.run(workspace) == 1
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("s.csv", b"10,7\n1\xff,8\n20,9\n"),
+            ("catalog.txt", b"R r.csv a:int,b:int\nS s\xff.csv a:int,b:int\n"),
+            ("query.txt", b"Q(x,y,z) :-\nR(x,y), S(y,\xffz)\n"),
+            ("my.plan", b"R(x,y), S(y)\nS(\xffz)\n"),
+        ],
+        ids=["csv", "catalog", "query", "plan"],
+    )
+    def test_non_utf8_input_exit_1(self, workspace, capsys, name, data):
+        (workspace / "my.plan").write_text("R(x,y), S(y)\nS(z)\n")
+        (workspace / name).write_bytes(data)
+        assert self.run(workspace, "--plan", f"file:{workspace / 'my.plan'}") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "s.csv:2: not valid UTF-8" in err
+        assert f"{name}:2: not valid UTF-8" in err
+
+    def test_malformed_min_head_exit_2(self, workspace, capsys):
+        (workspace / "query.txt").write_text("Q(MIN(x) :- R(x,y), S(y,z)\n")
+        assert self.run(workspace, "--check") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_blank_csv_line_exit_1(self, workspace, capsys):
         (workspace / "s.csv").write_text("10,7\n\n20,9\n")

@@ -38,9 +38,7 @@ from unijoin.trie import (
     LEAF_COUNT,
     LEAF_RANGE,
     LEAF_SMALLVEC,
-    LEAF_VEC,
     SORTED,
-    LeafSpec,
     build_trie,
 )
 
@@ -284,52 +282,47 @@ class TestToggles:
 
 
 class TestPolicies:
-    def test_explicit_policy(self):
-        q, agg = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
-        rels = {
-            "R": rel("R", ("a", "b"), [(1, 10), (3, 30)]),
-            "S": rel("S", ("a", "b"), [(10, 7), (30, 9)]),
-        }
-        plan = convert_left_deep(q, ("R", "S"))
-        policy = StructurePolicy(
-            "explicit", {"S": (HASH, LeafSpec(LEAF_VEC))}
-        )
-        result, _ = execute(q, plan, rels, agg, policy)
-        assert result.tuples == nested_loop(q, rels, agg)
-
-    def test_explicit_policy_missing_choice(self):
-        q, agg = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
-        rels = {
-            "R": rel("R", ("a", "b"), [(1, 10)]),
-            "S": rel("S", ("a", "b"), [(10, 7)]),
-        }
-        plan = convert_left_deep(q, ("R", "S"))
-        with pytest.raises(ExecutionError):
-            execute(q, plan, rels, agg, StructurePolicy("explicit", {}))
-
     def test_unknown_policy(self):
-        with pytest.raises(ExecutionError):
-            StructurePolicy("fancy")
+        for mode in ("fancy", "explicit"):
+            with pytest.raises(ExecutionError):
+                StructurePolicy(mode)
 
-    def test_hybrid_choice_per_access(self):
+    def test_hybrid_choice_per_access(self, monkeypatch):
         """Under hybrid a declared order that fits buys a sorted trie only
         for a relation that is iterated; a probe-only relation is hashed,
-        as is an intermediate."""
+        as is an intermediate, which declares no order."""
         r = rel("R", ("a", "b"), [(1, 2), (1, 3), (2, 3)])
         hybrid = StructurePolicy("hybrid")
 
-        def choice(probe_only, opts=OptConfig(), is_intermediate=False):
-            rel2, kind, spec, copied = _choose_structures(
-                r, ("a",), probe_only, hybrid, opts, is_intermediate
-            )
+        def choice(probe_only, opts=OptConfig()):
+            rel2, kind, spec, copied = _choose_structures(r, ("a",), probe_only, hybrid, opts)
             assert rel2 is r and not copied
             return kind, spec.kind
 
         assert choice(probe_only=True) == (HASH, LEAF_COUNT)
         assert choice(probe_only=True, opts=OptConfig(o4=False)) == (HASH, LEAF_SMALLVEC)
         assert choice(probe_only=False) == (SORTED, LEAF_RANGE)
-        assert choice(probe_only=False, is_intermediate=True) == (HASH, LEAF_SMALLVEC)
-        assert choice(probe_only=True, is_intermediate=True) == (HASH, LEAF_COUNT)
+
+        # The 4-cycle's bushy stage _I1(c,d,a) is iterated on d, keyed on
+        # (c, a), in the root stage; the base relations S and U are iterated
+        # under tries their declared order fits.
+        built = []
+
+        def spy(rel_, attrs, dict_kind, spec):
+            built.append((rel_.name, dict_kind, spec.kind))
+            return build_trie(rel_, attrs, dict_kind, spec)
+
+        monkeypatch.setattr(executor, "build_trie", spy)
+        q, agg = parse_query("Q(a,b,c,d) :- R(a,b), S(b,c), T(c,d), U(d,a)")
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        rels = {n: rel(n, ("u", "v"), [(0, 0), (0, 1), (1, 0)]) for n in ("R", "S", "T", "U")}
+        _, stats = execute_bushy(q, tree, rels, agg, hybrid)
+        assert sorted(built) == [
+            ("S", SORTED, LEAF_RANGE),
+            ("U", SORTED, LEAF_RANGE),
+            ("_I1", HASH, LEAF_SMALLVEC),
+        ]
+        assert stats.deep_intermediate_tries == 1
 
     def test_hybrid_comparisons_are_the_iterated_relations_alone(self):
         """On the binary triangle plan, T is probe-only and hashed, so the
@@ -455,22 +448,9 @@ class TestWeightedRelations:
         weighted, _ = self.relations()
         for mode in ("hash", "sorted", "hybrid"):
             _, _, spec, _ = _choose_structures(
-                weighted["S"], ("a",), True, StructurePolicy(mode), OptConfig(o4=False), False
+                weighted["S"], ("a",), True, StructurePolicy(mode), OptConfig(o4=False)
             )
             assert spec.kind == LEAF_COUNT, mode
-
-    def test_explicit_offset_leaf_for_probe_only_weighted_relation(self):
-        q, agg = parse_query("Q(x,y) :- R(x,y), S(y)")
-        weighted, _ = self.relations()
-        plan = convert_left_deep(q, ("R", "S"))
-        counted = StructurePolicy("explicit", {"R": (HASH, LeafSpec(LEAF_VEC)),
-                                               "S": (HASH, LeafSpec(LEAF_COUNT))})
-        result, _ = execute(q, plan, weighted, agg, counted)
-        assert result.tuples == {(1, 10): 6, (1, 20): 1, (2, 10): 9, (3, 30): 2}
-        offsets = StructurePolicy("explicit", {"R": (HASH, LeafSpec(LEAF_VEC)),
-                                               "S": (HASH, LeafSpec(LEAF_VEC))})
-        with pytest.raises(ExecutionError, match="weighted relation 'S'.*count leaf"):
-            execute(q, plan, weighted, agg, offsets)
 
 
 class TestSemijoinReduction:

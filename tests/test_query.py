@@ -46,6 +46,14 @@ class TestParseQuery:
     def test_min_head(self):
         q, agg = parse_query("Q(MIN(x,y)) :- R(x,y)")
         assert agg.kind == "min" and agg.vars == ("x", "y")
+        q, agg = parse_query("Q(MIN (x, y)) :- R(x,y)")
+        assert agg.kind == "min" and agg.vars == ("x", "y")
+
+    @pytest.mark.parametrize("head", ["MIN(x", "MIN(x),y", "MIN(x) junk"])
+    def test_malformed_min_head(self, head):
+        # Each once crashed or ran silently as MIN(x).
+        with pytest.raises(QueryError, match="MIN head"):
+            parse_query(f"Q({head}) :- R(x,y)")
 
     def test_min_unknown_var(self):
         with pytest.raises(QueryError):

@@ -180,15 +180,6 @@ class TestBuildTrie:
         with pytest.raises(ExecutionError):
             build_trie(rel, ("z",), HASH, LeafSpec(LEAF_VEC))
 
-    def test_lookup_path(self):
-        rel = Relation.from_rows(
-            "R", ("a", "b"), [(1, 1), (1, 2)], sorted_by=("a", "b")
-        )
-        trie = build_trie(rel, ("a", "b"), SORTED, LeafSpec(LEAF_RANGE))
-        leaf = trie.lookup_path((1, 2))
-        assert list(leaf) == [1]
-        assert trie.lookup_path((1, 9)) is None
-
     def test_leaf_size_helpers(self):
         assert leaf_size(5, LeafSpec(LEAF_COUNT)) == 5
         assert leaf_size(7, LeafSpec(LEAF_SMALLVEC)) == 1  # inline singleton
