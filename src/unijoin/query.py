@@ -140,7 +140,11 @@ def _parse_atom_text(text: str, what: str):
 
 
 def _split_atoms(body: str):
-    """Split on commas that are not inside parentheses."""
+    """Split on commas that are not inside parentheses.
+
+    An empty part, between, before or after the commas (``R(a),,S(a)``,
+    ``,R(a)``, ``R(a),``), is a ``QueryError``.
+    """
     parts, depth, cur = [], 0, []
     for ch in body:
         if ch == "(":
@@ -152,9 +156,10 @@ def _split_atoms(body: str):
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    parts = [p.strip() for p in parts + ["".join(cur)]]
+    if "" in parts:
+        raise QueryError(f"empty atom in {body.strip()!r}")
+    return parts
 
 
 def parse_query(text: str):
@@ -173,12 +178,12 @@ def parse_query(text: str):
         raise QueryError(f"cannot parse query head: {head_text!r}")
     head_args = m.group(2).strip()
 
+    if not body_text.strip():
+        raise QueryError("query body is empty")
     atoms = []
     for atom_text in _split_atoms(body_text):
         name, vars_ = _parse_atom_text(atom_text, "atom")
         atoms.append(Atom(name, vars_))
-    if not atoms:
-        raise QueryError("query body is empty")
 
     body_vars_order = []
     for a in atoms:
@@ -221,8 +226,7 @@ def parse_plan(text: str) -> FreeJoinPlan:
         for sub_text in _split_atoms(line):
             name, vars_ = _parse_atom_text(sub_text, "subatom")
             subs.append(Subatom(name, vars_))
-        if subs:
-            nodes.append(tuple(subs))
+        nodes.append(tuple(subs))
     return FreeJoinPlan(tuple(nodes))
 
 
@@ -472,7 +476,13 @@ def decompose_bushy(
 
 def parse_bushy(text: str) -> "BushyPlan | Atom":
     """Parse a parenthesized join tree: ``((R(a,b) S(b,c)) (T(c,d) U(d,a)))``."""
-    tokens = re.findall(r"\(|\)|[A-Za-z_][A-Za-z0-9_]*\([^()]*\)", text)
+    # Tokens sit at the odd positions of the split, the text between them
+    # at the even ones; that text must be blank.
+    parts = re.split(r"(\(|\)|[A-Za-z_][A-Za-z0-9_]*\([^()]*\))", text)
+    junk = "".join(parts[::2]).split()
+    if junk:
+        raise PlanError(f"unexpected text {junk[0]!r} in bushy plan")
+    tokens = parts[1::2]
     pos = [0]
 
     def parse() -> "BushyPlan | Atom":

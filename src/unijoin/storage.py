@@ -1,7 +1,9 @@
 """Columnar in-memory relations and data ingestion.
 
 A relation stores one Python list per attribute.  Cell values are either
-64-bit-range ints or strings; a column never mixes the two.  Relations are
+Python ints, of any size, or strings; a column never mixes the two.  A CSV
+``int`` field is read by Python's ``int``, so ``99999999999999999999999``
+loads as itself, ``1_000`` as 1000 and `` 3 `` as 3.  Relations are
 immutable after construction (by convention: nothing in the engine mutates
 them) and may carry a ``sorted_by`` declaration asserting that rows are
 lexicographically non-decreasing over the named attributes.  The declaration
@@ -176,6 +178,12 @@ def _check_sorted(rel: Relation, attrs: tuple[str, ...]) -> None:
         )
 
 
+# Characters per block of lines that ``load_csv`` converts at once: large
+# enough that its C-level passes dominate, small enough that the block's
+# text and split fields add little to peak memory.
+BLOCK = 4096
+
+
 def load_csv(path, name, schema, sorted_by=None) -> Relation:
     """Load a comma-separated file with a declared schema.
 
@@ -183,6 +191,11 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     No header row, no quoting, UTF-8.  Parse failures report row and column.
     A blank line is a row of one empty field: ``""`` under a one-column
     ``str`` schema, an error under any other.
+
+    Columns are built from blocks of lines in C-level passes: one arity
+    check per block, one split of the joined block, and one slice (and
+    ``int`` map) per column.  On any failure, ``_load_error`` walks the
+    file row by row to name the first bad line.
     """
     attrs = tuple(a for a, _ in schema)
     kinds = [k for _, k in schema]
@@ -191,30 +204,51 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
             raise SchemaError(f"unknown kind {k!r} in schema for {name}")
     if len(set(attrs)) != len(attrs):
         raise SchemaError(f"relation {name}: duplicate attribute names in schema")
-    columns: dict[str, list] = {a: [] for a in attrs}
-    cols = [columns[a] for a in attrs]
+    width = len(attrs)
+    commas = {width - 1}
+    cols = [[] for _ in attrs]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while block := fh.readlines(BLOCK):
+                if set(map(str.count, block, repeat(","))) != commas:
+                    raise _load_error(path, attrs, kinds)
+                text = "".join(block)
+                if text[-1] == "\n":
+                    text = text[:-1]
+                flat = text.replace("\n", ",").split(",")
+                for i, (col, k) in enumerate(zip(cols, kinds)):
+                    col.extend(map(int, flat[i::width]) if k == INT else flat[i::width])
+    except ValueError:  # a bad int, or a UnicodeDecodeError
+        raise _load_error(path, attrs, kinds) from None
+    return Relation(name, attrs, dict(zip(attrs, cols)),
+                    sorted_by=tuple(sorted_by) if sorted_by else None)
+
+
+def _load_error(path, attrs, kinds) -> LoadError:
+    """The error for the first bad line of a CSV file that ``load_csv``
+    could not convert: a wrong field count, a field that is not an int, or
+    bytes that are not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 fields = line.rstrip("\n").split(",")
                 if len(fields) != len(attrs):
-                    raise LoadError(
+                    return LoadError(
                         f"{path}:{lineno}: expected {len(attrs)} fields, got {len(fields)}"
                     )
                 for ci, (text, k) in enumerate(zip(fields, kinds)):
                     if k == INT:
                         try:
-                            cols[ci].append(int(text))
+                            int(text)
                         except ValueError:
-                            raise LoadError(
+                            return LoadError(
                                 f"{path}:{lineno}: column {ci + 1} ({attrs[ci]}): "
                                 f"{text!r} is not an integer"
-                            ) from None
-                    else:
-                        cols[ci].append(text)
+                            )
     except UnicodeDecodeError:
-        raise non_utf8_error(path) from None
-    return Relation(name, attrs, columns, sorted_by=tuple(sorted_by) if sorted_by else None)
+        return non_utf8_error(path)
+    # Reached only if the file changed after ``load_csv`` read it.
+    return LoadError(f"{path}: cannot be loaded")
 
 
 def non_utf8_error(path) -> LoadError:

@@ -124,6 +124,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_empty_body_atom_exit_2(self, workspace, capsys):
+        (workspace / "query.txt").write_text("Q(x,y,z) :- R(x,y), S(y,z),\n")
+        assert self.run(workspace, "--check") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "empty atom" in err
+
     def test_blank_csv_line_exit_1(self, workspace, capsys):
         (workspace / "s.csv").write_text("10,7\n\n20,9\n")
         assert self.run(workspace) == 1

@@ -55,6 +55,14 @@ class TestParseQuery:
         with pytest.raises(QueryError, match="MIN head"):
             parse_query(f"Q({head}) :- R(x,y)")
 
+    @pytest.mark.parametrize(
+        "text", ["Q(a,b) :- R(a,b),,", "Q(a,b) :- ,R(a,b)", "Q(a,b):-R(a,b),"]
+    )
+    def test_empty_body_atom(self, text):
+        # Each once ran as Q(a,b) :- R(a,b), the empty atom dropped.
+        with pytest.raises(QueryError, match="empty atom"):
+            parse_query(text)
+
     def test_min_unknown_var(self):
         with pytest.raises(QueryError):
             parse_query("Q(MIN(z)) :- R(x,y)")
@@ -89,6 +97,13 @@ class TestPlanText:
     def test_comments_and_blanks_ignored(self):
         plan = parse_plan("# plan\n\nR(x)\n")
         assert plan.nodes == ((Subatom("R", ("x",)),),)
+
+    @pytest.mark.parametrize("text", ["R(x,a), S(x),\nS(b)", "R(x,a)\n,\n"])
+    def test_empty_subatom_rejected(self, text):
+        # A node line shares the body's splitter; both lines once dropped
+        # the empty part silently.
+        with pytest.raises(QueryError, match="empty atom"):
+            parse_plan(text)
 
 
 class TestValidatePlan:
@@ -239,6 +254,18 @@ class TestBushy:
     def test_unbalanced_rejected(self):
         with pytest.raises(PlanError):
             parse_bushy("((R(a,b) S(b,c))")
+
+    @pytest.mark.parametrize(
+        "text, junk",
+        [
+            ("((R(a,b) junk S(b,c)) (T(c,d) U(d,a)))", "junk"),
+            ("((R(a,b) S(b,c)) (T(c,d) U(d,a)));drop", ";drop"),
+        ],
+    )
+    def test_text_between_tokens_rejected(self, text, junk):
+        # Both once parsed as the cycle4 tree, the extra text ignored.
+        with pytest.raises(PlanError, match=f"unexpected text '{junk}'"):
+            parse_bushy(text)
 
     def test_decompose_materializes_right_subtree(self):
         q, _ = parse_query("Q(a,b,c,d) :- R(a,b), S(b,c), T(c,d), U(d,a)")

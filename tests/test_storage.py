@@ -1,10 +1,15 @@
 """Columnar relation construction, CSV loading, selection, and the
 adversarial triangle generator."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unijoin.errors import LoadError, SchemaError, SortednessError
 from unijoin.storage import (
+    BLOCK,
     Relation,
     gen_adversarial_triangle,
     kind_of,
@@ -184,6 +189,107 @@ class TestLoadCsv:
         p.write_text("1,2\n1,3\n2,0\n")
         rel = load_csv(p, "R", [("a", "int"), ("b", "int")], sorted_by=("a", "b"))
         assert rel.sorted_by == ("a", "b")
+
+    def test_int_fields_read_by_python_int(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("99999999999999999999999,1_000, 3 ,-4,+5\n")
+        rel = load_csv(p, "R", [(a, "int") for a in "abcde"])
+        assert rel.rows() == [(99999999999999999999999, 1000, 3, -4, 5)]
+
+
+def _many_rows(tmp_path, bad_line: bytes) -> tuple:
+    """A 10,000-row two-int-column file whose line 7001 is ``bad_line``,
+    far past the first block of ``BLOCK`` characters."""
+    lines = [b"%d,%d" % (i, i * 7) for i in range(1, 10_001)]
+    lines[7000] = bad_line
+    p = tmp_path / "big.csv"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    assert sum(map(len, lines[:7000])) > 10 * BLOCK
+    return p, [("a", "int"), ("b", "int")]
+
+
+class TestLoadCsvErrorsPastFirstBlock:
+    def test_bad_int(self, tmp_path):
+        p, schema = _many_rows(tmp_path, b"7001,x7")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, "R", schema)
+        assert str(exc.value) == f"{p}:7001: column 2 (b): 'x7' is not an integer"
+
+    def test_wrong_arity(self, tmp_path):
+        p, schema = _many_rows(tmp_path, b"7001,1,2")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, "R", schema)
+        assert str(exc.value) == f"{p}:7001: expected 2 fields, got 3"
+
+    def test_non_utf8(self, tmp_path):
+        p, schema = _many_rows(tmp_path, b"7001,\xff")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, "R", schema)
+        assert str(exc.value) == f"{p}:7001: not valid UTF-8"
+
+
+class _BadLine(Exception):
+    pass
+
+
+def _load_per_row(path, kinds):
+    """Reference loader: one line, one split and one conversion at a time.
+    Raises ``_BadLine(lineno)`` at the first line it cannot convert."""
+    cols = [[] for _ in kinds]
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = (line[:-1] if line.endswith("\n") else line).split(",")
+            if len(fields) != len(kinds):
+                raise _BadLine(lineno)
+            for col, kind, text in zip(cols, kinds, fields):
+                try:
+                    col.append(int(text) if kind == "int" else text)
+                except ValueError:
+                    raise _BadLine(lineno) from None
+    return cols
+
+
+_GOOD_INT = st.integers(-10**25, 10**25).map(str) | st.sampled_from([" 3 ", "1_000", "+7"])
+_INT_TEXT = _GOOD_INT | _GOOD_INT | st.sampled_from(["", "x", "1.5", "1__0"])
+# Any text but the field and line separators (a lone "\r" ends a line in
+# text mode) and lone surrogates, which UTF-8 cannot encode.
+_STR_TEXT = st.text(
+    st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)), max_size=5
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(kinds, text): lines of fields under a drawn schema, blank lines
+    among them, "\n" or "\r\n" endings, with or without a final newline;
+    a head of lines repeated up to 800 times spans many blocks."""
+    kinds = draw(st.lists(st.sampled_from(["int", "str"]), min_size=1, max_size=3))
+    cells = [_INT_TEXT if k == "int" else _STR_TEXT for k in kinds]
+    line = st.tuples(*cells).map(",".join) | st.just("")
+    lines = draw(st.lists(line, max_size=8)) * draw(st.sampled_from([1, 2, 800]))
+    lines += draw(st.lists(line, max_size=3))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1, max_size=3))
+    text = "".join(ln + ends[i % len(ends)] for i, ln in enumerate(lines))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return kinds, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(_csv_files())
+def test_load_csv_matches_per_row_reference(tmp_path_factory, csv_file):
+    kinds, text = csv_file
+    p = tmp_path_factory.mktemp("csv") / "r.csv"
+    p.write_bytes(text.encode("utf-8"))
+    schema = [(f"c{i}", k) for i, k in enumerate(kinds)]
+    try:
+        expected = _load_per_row(p, kinds)
+    except _BadLine as bad:
+        with pytest.raises(LoadError, match=rf"^{re.escape(str(p))}:{bad.args[0]}: "):
+            load_csv(p, "R", schema)
+    else:
+        rel = load_csv(p, "R", schema)
+        assert [rel.columns[a] for a, _ in schema] == expected
 
 
 class TestSelect:
