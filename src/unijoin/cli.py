@@ -16,8 +16,9 @@ Catalog file format, one relation per line (``#`` comments allowed)::
     name path attr:kind,attr:kind [sorted_by=a,b]
 
 with kind ``int`` or ``str``; paths are resolved relative to the catalog
-file.  Query files hold one query, e.g. ``Q(x,a) :- R(x,a), S(x)``; plan
-files hold one plan node per line, subatoms comma-separated.
+file.  Query files hold one query, e.g. ``Q(x,a) :- R(x,a), S(x)``, whose
+head also gives the aggregate: ``Q(COUNT)`` or ``Q(MIN(x))``; plan files
+hold one plan node per line, subatoms comma-separated.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .query import (
     AGG_COUNT,
     AGG_FULL,
     AGG_MIN,
-    AggregationSpec,
     convert_left_deep,
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
@@ -88,7 +88,10 @@ def load_catalog(path: str):
             if not fields[3].startswith("sorted_by="):
                 raise SchemaError(f"{path}:{lineno}: expected sorted_by=..., got {fields[3]!r}")
             sorted_by = tuple(fields[3][len("sorted_by="):].split(","))
-        relations[name] = load_csv(base / rel_path, name, schema, sorted_by)
+        try:
+            relations[name] = load_csv(base / rel_path, name, schema, sorted_by)
+        except (SchemaError, SortednessError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return relations
 
 
@@ -110,25 +113,6 @@ def _resolve_plan(q, plan_flag: str):
     if plan_flag.startswith("file:"):
         return parse_plan(_read_text(plan_flag[len("file:"):]))
     raise PlanError(f"unknown plan source {plan_flag!r}")
-
-
-def _resolve_agg(q, default_agg, agg_flag: str | None):
-    if agg_flag is None:
-        return default_agg
-    if agg_flag == "full":
-        return AggregationSpec(AGG_FULL, tuple(q.head))
-    if agg_flag == "count":
-        return AggregationSpec(AGG_COUNT, ())
-    if agg_flag.startswith("min:"):
-        vars_ = tuple(v for v in agg_flag[4:].split(",") if v)
-        if not vars_:
-            raise QueryError("--agg min: needs at least one variable")
-        body = q.variables()
-        for v in vars_:
-            if v not in body:
-                raise QueryError(f"--agg min: variable {v!r} not in the query body")
-        return AggregationSpec(AGG_MIN, vars_)
-    raise QueryError(f"unknown aggregate {agg_flag!r}")
 
 
 def _strategy(opts_text: str, dicts_flag: str):
@@ -180,8 +164,7 @@ def cmd_run(args) -> int:
     if args.limit < 0:
         raise PlanError(f"--limit must be non-negative, got {args.limit}")
     relations = load_catalog(args.catalog)
-    q, default_agg = parse_query(_read_text(args.query).strip())
-    agg = _resolve_agg(q, default_agg, args.agg)
+    q, agg = parse_query(_read_text(args.query).strip())
     plan = _resolve_plan(q, args.plan)
     result, stats = execute(q, plan, relations, agg, policy, opts)
     for line in _result_summary(result, args.limit):
@@ -260,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one query under one strategy")
     p_run.add_argument("--catalog", required=True, help="catalog file")
     p_run.add_argument("--query", required=True, help="query file")
-    p_run.add_argument("--agg", default=None, help="full | count | min:v1,v2")
     p_run.add_argument("--plan", default="binary", help="binary | gj | fj | file:PATH")
     p_run.add_argument("--dicts", default="hybrid", help="hash | sorted | hybrid")
     p_run.add_argument("--opts", default="all", help="comma list of O1..O5, all, or none")

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import compress
 from operator import itemgetter
@@ -212,12 +211,14 @@ class ResultBag:
         return self.tuples == reference
 
 
-def _empty_result(agg: AggregationSpec, out_vars) -> ResultBag:
+def _result(agg: AggregationSpec, out_vars, tuples=None, count=0, minima=None) -> ResultBag:
+    """The ``ResultBag`` of ``agg``'s kind over ``out_vars``; the defaults
+    are the result of an empty join."""
     if agg.kind == AGG_COUNT:
-        return ResultBag(AGG_COUNT, count=0)
+        return ResultBag(AGG_COUNT, count=count)
     if agg.kind == AGG_MIN:
-        return ResultBag(AGG_MIN, vars=tuple(agg.vars), minima=None)
-    return ResultBag(AGG_FULL, vars=tuple(out_vars), tuples={})
+        return ResultBag(AGG_MIN, out_vars, minima=minima)
+    return ResultBag(AGG_FULL, out_vars, {} if tuples is None else tuples)
 
 
 # What a plan node's first subatom iterates.
@@ -321,7 +322,7 @@ def execute(
     q: ConjunctiveQuery,
     plan: FreeJoinPlan,
     relations: dict[str, Relation],
-    agg: AggregationSpec | None = None,
+    agg: AggregationSpec = AggregationSpec(),
     policy: StructurePolicy | None = None,
     opts: OptConfig | None = None,
     stats: ExecStats | None = None,
@@ -332,8 +333,6 @@ def execute(
     Returns ``(ResultBag, ExecStats)``.  ``stats`` may be passed in to
     accumulate counters across several executions.
     """
-    if agg is None:
-        agg = AggregationSpec(AGG_FULL, q.head)
     if policy is None:
         policy = StructurePolicy()
     if opts is None:
@@ -350,11 +349,11 @@ def execute(
                 f"{atom.relation} arity {len(relations[atom.relation].attrs)}"
             )
 
-    out_vars = tuple(agg.vars) if agg.vars else tuple(q.head)
+    out_vars = agg.output(q.head)
 
     # An empty relation anywhere empties a conjunctive join.
     if any(relations[a.relation].size == 0 for a in q.atoms):
-        return _empty_result(agg, out_vars), stats
+        return _result(agg, out_vars), stats
 
     var_attr = {}  # (relation, var) -> attribute, from the original atoms
     for a in q.atoms:
@@ -367,7 +366,7 @@ def execute(
     for (name, v), attr in var_attr.items():
         kind = relations[name].kind(attr)
         if var_kind.setdefault(v, kind) != kind:
-            return _empty_result(agg, out_vars), stats
+            return _result(agg, out_vars), stats
 
     multiplier = 1
     working = plan
@@ -384,7 +383,7 @@ def execute(
         relations = _semijoin_reduce(working.nodes[0], relations, var_attr)
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
-            return _empty_result(agg, out_vars), stats
+            return _result(agg, out_vars), stats
     # (node, position) -> (access, part index, levels) for every subatom;
     # levels is None for the part that iterates rows (a leaf, or a scan's
     # range leaf), else the trie levels it descends, where a single hash
@@ -462,7 +461,6 @@ def execute(
     bag: dict[tuple, int] = {}
     count = 0
     minima: list | None = None
-    agg_vars = tuple(agg.vars)
     if len(out_vars) > 1:
         out_key = itemgetter(*out_vars)
     else:  # itemgetter of one name returns the bare value, of none fails
@@ -474,7 +472,7 @@ def execute(
             minima = vals
         else:
             minima = [m if m <= x else x for m, x in zip(minima, vals)]
-        stats.min_ops += len(agg_vars)
+        stats.min_ops += len(out_vars)
 
     def emit(mult: int):
         nonlocal count
@@ -482,7 +480,7 @@ def execute(
         if agg.kind == AGG_COUNT:
             count += mult
         elif agg.kind == AGG_MIN:
-            fold_min([binding[v] for v in agg_vars])
+            fold_min([binding[v] for v in out_vars])
         else:
             key = out_key(binding)
             bag[key] = bag.get(key, 0) + mult
@@ -505,10 +503,10 @@ def execute(
         branch_min: dict[str, object] = {}
         for offsets, bind in branches:
             for v, col in bind:
-                if v in agg_vars:
+                if v in out_vars:
                     branch_min[v] = min(col[off] for off in offsets)
                     stats.min_ops += len(offsets)
-        fold_min([branch_min[v] if v in branch_min else binding[v] for v in agg_vars])
+        fold_min([branch_min[v] if v in branch_min else binding[v] for v in out_vars])
 
     if suffix_start < n_nodes:
         finish = finish_factorized
@@ -558,11 +556,8 @@ def execute(
                         key = binding[v]
                         n_probes += 1
                         if is_sorted:
-                            keys = node.keys
-                            n = len(keys)
-                            n_comps += n.bit_length()
-                            i = bisect_left(keys, key)
-                            node = node.values[i] if i < n and keys[i] == key else _MISSING
+                            node, comps = node.find(key)
+                            n_comps += comps
                         else:
                             node = node.get(key, _MISSING)
                         if node is _MISSING:
@@ -584,21 +579,14 @@ def execute(
     stats.comparisons += n_comps
     stats.intermediate_tuples += n_inter
 
-    if agg.kind == AGG_COUNT:
-        return ResultBag(AGG_COUNT, count=count), stats
-    if agg.kind == AGG_MIN:
-        return (
-            ResultBag(AGG_MIN, vars=agg_vars, minima=tuple(minima) if minima else None),
-            stats,
-        )
-    return ResultBag(AGG_FULL, vars=out_vars, tuples=bag), stats
+    return _result(agg, out_vars, bag, count, tuple(minima) if minima else None), stats
 
 
 def execute_bushy(
     q: ConjunctiveQuery,
     tree,
     relations: dict[str, Relation],
-    agg: AggregationSpec | None = None,
+    agg: AggregationSpec = AggregationSpec(),
     policy: StructurePolicy | None = None,
     opts: OptConfig | None = None,
 ):
@@ -608,8 +596,6 @@ def execute_bushy(
     relation that later stages treat like any base relation: one row per
     distinct tuple, weighted by its multiplicity.
     """
-    if agg is None:
-        agg = AggregationSpec(AGG_FULL, q.head)
     stats = ExecStats()
     stages = decompose_bushy(q, tree, agg)
     # Plan every stage before running any: a stage that keeps no variable
@@ -622,9 +608,9 @@ def execute_bushy(
     rels = dict(relations)
     made: set[str] = set()
     for stage, sub_q, plan in zip(stages, sub_qs, plans):
-        sub_agg = agg if stage.target is None else AggregationSpec(AGG_FULL, stage.out_vars)
         result, _ = execute(
-            sub_q, plan, rels, sub_agg, policy, opts, stats,
+            sub_q, plan, rels, agg if stage.target is None else AggregationSpec(),
+            policy, opts, stats,
             intermediate_names=frozenset(made),
         )
         if stage.target is None:

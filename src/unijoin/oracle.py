@@ -10,7 +10,7 @@ to be checked against.
 from __future__ import annotations
 
 from .errors import BudgetExceededError, ExecutionError
-from .query import AGG_COUNT, AGG_FULL, AGG_MIN, AggregationSpec, ConjunctiveQuery
+from .query import AGG_COUNT, AGG_MIN, AggregationSpec, ConjunctiveQuery
 from .storage import Relation
 
 DEFAULT_BUDGET = 100_000_000
@@ -19,24 +19,22 @@ DEFAULT_BUDGET = 100_000_000
 def nested_loop(
     q: ConjunctiveQuery,
     relations: dict[str, Relation],
-    agg: AggregationSpec | None = None,
+    agg: AggregationSpec = AggregationSpec(),
     budget: int = DEFAULT_BUDGET,
 ):
     """Evaluate a query by nested loops over its atoms.
 
     Returns a result matching the aggregate kind:
-      * full  -> dict mapping projected tuples (over ``agg.vars`` or the
-        head) to multiplicities,
+      * full  -> dict mapping projected tuples (over ``agg.output``) to
+        multiplicities,
       * count -> the total number of satisfying assignments (an int),
-      * min   -> tuple of per-variable minima over ``agg.vars``, or None
+      * min   -> tuple of per-variable minima over ``agg.output``, or None
         when no assignment satisfies the body.
 
     Raises BudgetExceededError when the cross-product size exceeds
     ``budget``; the bound is on potential work, checked up front, so the
     oracle never silently runs for hours.
     """
-    if agg is None:
-        agg = AggregationSpec(AGG_FULL, q.head)
     for atom in q.atoms:
         if atom.relation not in relations:
             raise ExecutionError(f"oracle: relation {atom.relation!r} not provided")
@@ -54,7 +52,7 @@ def nested_loop(
                 f"oracle: cross product exceeds budget of {budget} rows"
             )
 
-    proj = agg.vars if agg.kind != AGG_FULL else (agg.vars or q.head)
+    proj = agg.output(q.head)
 
     bag: dict[tuple, int] = {}
     count = 0
@@ -72,7 +70,7 @@ def nested_loop(
             if agg.kind == AGG_COUNT:
                 count += mult
             elif agg.kind == AGG_MIN:
-                vals = [binding[v] for v in agg.vars]
+                vals = [binding[v] for v in proj]
                 if minima is None:
                     minima = vals
                 else:

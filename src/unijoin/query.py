@@ -45,10 +45,22 @@ class Subatom:
 @dataclass(frozen=True)
 class AggregationSpec:
     """What to do with satisfying assignments: keep them, count them, or
-    track per-column minima."""
+    track per-column minima.
+
+    ``vars`` are the variables kept under ``full`` (a bag projection, where
+    an empty projection means the query head), the variables minimized
+    under ``min``, and unused under ``count``.
+    """
 
     kind: str = AGG_FULL
     vars: tuple[str, ...] = ()
+
+    def output(self, head: tuple[str, ...]) -> tuple[str, ...]:
+        """The variables a result over a query with ``head`` reports, each
+        once: none under ``count``, else ``vars`` or, if empty, ``head``."""
+        if self.kind == AGG_COUNT:
+            return ()
+        return tuple(dict.fromkeys(self.vars or head))
 
 
 @dataclass(frozen=True)
@@ -78,10 +90,6 @@ class ConjunctiveQuery:
             if a.relation == relation:
                 return a
         raise QueryError(f"no atom over relation {relation!r}")
-
-    @property
-    def full(self) -> bool:
-        return set(self.head) == self.variables()
 
     def __str__(self):
         return f"Q({','.join(self.head)}) :- " + ", ".join(str(a) for a in self.atoms)
@@ -119,9 +127,6 @@ class BushyPlan:
             else:
                 out.append(side)
         return out
-
-    def variables(self) -> set[str]:
-        return {v for a in self.leaves() for v in a.vars}
 
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*")
@@ -380,9 +385,8 @@ def _hoist_probes(plan: FreeJoinPlan) -> FreeJoinPlan:
         bound |= set(node[0].vars)
         available.append(set(bound))
 
-    # Earliest node of the preceding subatom of the same atom, to keep the
-    # per-atom descent order intact.
-    prev_part_node: dict[tuple[str, int], int] = {}
+    # A later part of an atom goes no earlier than the node after its
+    # preceding part, to keep the per-atom descent order intact.
     new_nodes: list[list[Subatom]] = [[node[0]] for node in plan.nodes]
     part_index: dict[str, int] = {}
     placed_at: dict[tuple[str, int], int] = {}
@@ -420,22 +424,18 @@ class PlanStage:
 
 
 def decompose_bushy(
-    q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg: AggregationSpec | None = None
+    q: ConjunctiveQuery, tree: "BushyPlan | Atom", agg: AggregationSpec = AggregationSpec()
 ) -> list[PlanStage]:
     """Post-order decomposition of a bushy tree into left-deep stages.
 
     Every non-leaf right subtree becomes its own stage materializing an
     intermediate whose attributes are exactly its variables still needed
-    above it: those joined outside the subtree, and those in the output.
-    The output is the projected variables (by default the head) under a
-    full aggregate, the minimized variables under ``min``, and nothing under
-    ``count``; the head ``parse_query`` synthesizes for ``COUNT`` and
-    ``MIN``, every body variable, keeps nothing alive.  The root stage's
-    head is the output.  Intermediates carry no sort order.
+    above it: those joined outside the subtree, and those in the output
+    (``agg.output``, so the every-variable head ``parse_query`` gives
+    ``COUNT`` and ``MIN`` keeps nothing alive).  The root stage's head is
+    the output.  Intermediates carry no sort order.
     """
-    if agg is None:
-        agg = AggregationSpec(AGG_FULL, q.head)
-    out_vars = () if agg.kind == AGG_COUNT else tuple(dict.fromkeys(agg.vars or q.head))
+    out_vars = agg.output(q.head)
     stages: list[PlanStage] = []
     counter = [0]
 
@@ -525,7 +525,7 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
     already holds a subatom of one of their atoms, in which case the source
     is kept, dead variables and all.
     """
-    out_vars = set(agg.vars or q.head) if agg.kind == AGG_FULL else set(agg.vars)
+    out_vars = set(agg.output(q.head))
     var_atoms: dict[str, int] = {}
     for a in q.atoms:
         for v in a.vars:

@@ -149,12 +149,12 @@ class Relation:
             None if weights is None else list(map(weights.__getitem__, offsets)),
         )
 
-    def sorted_copy(self, order: tuple[str, ...], name: str | None = None) -> "Relation":
+    def sorted_copy(self, order: tuple[str, ...]) -> "Relation":
         """Rows re-sorted lexicographically by ``order`` then the remaining
         attrs; each row keeps its weight."""
         full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
         keys = list(zip(*(self.columns[a] for a in full_order)))
-        return self.take(sorted(range(self.size), key=keys.__getitem__), name, full_order)
+        return self.take(sorted(range(self.size), key=keys.__getitem__), sorted_by=full_order)
 
 
 def unsorted_row(cols) -> int | None:
@@ -254,12 +254,14 @@ def _load_error(path, attrs, kinds) -> LoadError:
 def non_utf8_error(path) -> LoadError:
     """The error for a text file that is not valid UTF-8, naming its first
     bad line (text files are decoded in blocks, so the decode error itself
-    does not say which line)."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    does not say which line).  Lines are read in text mode, as every other
+    reader does, so a lone carriage return ends one too; each bad byte
+    decodes to a lone surrogate, which cannot be encoded back."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
                 return LoadError(f"{path}:{lineno}: not valid UTF-8")
     return LoadError(f"{path}: not valid UTF-8")
 

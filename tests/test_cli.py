@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from unijoin import cli
 from unijoin.cli import load_catalog, main
 from unijoin.errors import SchemaError
+from unijoin.executor import ExecStats, ResultBag
 from unijoin.storage import load_csv
 
 
@@ -76,10 +78,38 @@ class TestRun:
         assert "probes" in payload
 
     def test_agg_override(self, workspace, capsys):
-        assert self.run(workspace, "--agg", "count", "--stats", "none") == 0
-        assert "kind=count value=4" in capsys.readouterr().out
-        assert self.run(workspace, "--agg", "min:z", "--stats", "none") == 0
-        assert "z=7" in capsys.readouterr().out
+        # The aggregate comes from the query head; there is no flag for it.
+        query = workspace / "query.txt"
+        query.write_text("Q(COUNT) :- R(x,y), S(y,z)\n")
+        assert self.run(workspace, "--check", "--stats", "none") == 0
+        out = capsys.readouterr().out
+        assert "kind=count value=4" in out and "check: PASS" in out
+        query.write_text("Q(MIN(z)) :- R(x,y), S(y,z)\n")
+        assert self.run(workspace, "--check", "--stats", "none") == 0
+        out = capsys.readouterr().out
+        assert "z=7" in out and "check: PASS" in out
+        with pytest.raises(SystemExit) as exc:
+            self.run(workspace, "--agg", "count")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --agg" in capsys.readouterr().err
+
+    def test_check_failure_exit_3(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "execute",
+            lambda q, *rest: (ResultBag("full", q.head, {(1, 10, 7): 2}), ExecStats()),
+        )
+        assert self.run(workspace, "--check", "--stats", "none") == 3
+        out = capsys.readouterr().out
+        assert "check: FAIL" in out
+        assert "first difference at (1, 10, 7): got multiplicity 2, expected 1" in out
+
+        (workspace / "query.txt").write_text("Q(COUNT) :- R(x,y), S(y,z)\n")
+        monkeypatch.setattr(
+            cli, "execute", lambda *args: (ResultBag("count", count=5), ExecStats())
+        )
+        assert self.run(workspace, "--check", "--stats", "none") == 3
+        out = capsys.readouterr().out
+        assert "check: FAIL" in out and "got 5, expected 4" in out
 
     def test_plan_file(self, workspace, capsys):
         plan = workspace / "my.plan"
@@ -130,6 +160,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "empty atom" in err
+
+    def test_non_utf8_after_lone_cr_names_its_line(self, workspace, capsys):
+        # A lone \r ends a line for the loader, so it does for the error too.
+        (workspace / "s.csv").write_bytes(b"10,7\r10,8\r20,9\r1\xff,8\r5,5\r")
+        assert self.run(workspace) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "s.csv:4: not valid UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "line,csv,message",
+        [
+            ("S s.csv a:float", "10,7\n", "unknown kind 'float' in schema for S"),
+            ("S s.csv a:int,b:int sorted_by=", "10,7\n",
+             "relation S: sorted_by names unknown attrs {''}"),
+            ("S s.csv a:int,b:int sorted_by=a", "10,7\n2,9\n",
+             "relation S: sortedness over ('a',) violated at row 1"),
+        ],
+        ids=["kind", "sorted_by", "sortedness"],
+    )
+    def test_catalog_error_names_catalog_line(self, workspace, capsys, line, csv, message):
+        (workspace / "s.csv").write_text(csv)
+        (workspace / "catalog.txt").write_text("R r.csv a:int,b:int\n" + line + "\n")
+        assert self.run(workspace) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {workspace / 'catalog.txt'}:2: {message}\n"
 
     def test_blank_csv_line_exit_1(self, workspace, capsys):
         (workspace / "s.csv").write_text("10,7\n\n20,9\n")

@@ -8,6 +8,7 @@ from unijoin.cli import main
 from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.oracle import nested_loop
 from unijoin.query import (
+    MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
     BushyPlan,
     FreeJoinPlan,
@@ -317,9 +318,13 @@ def test_random_plans_match_reference(case):
     assert plan_violation(q, plan) is None, str(plan)
     reference = nested_loop(q, _expanded(rels), agg)
     assert nested_loop(q, rels, agg) == reference
-    for policy, opts in FLAT_STRATEGIES:
-        result, _ = execute(q, plan, rels, agg, policy, opts)
-        assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
+    # The plan as drawn, and its hoisted-probe rewrite.
+    for run_plan in (plan, optimize_plan(q, plan, MODE_FREEJOIN)):
+        for policy, opts in FLAT_STRATEGIES:
+            result, _ = execute(q, run_plan, rels, agg, policy, opts)
+            assert result.matches_reference(reference), (
+                policy.mode, opts.label(), str(run_plan)
+            )
 
 
 @settings(max_examples=100, deadline=None)
