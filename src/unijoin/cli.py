@@ -227,7 +227,7 @@ def _relabel(rels, seed: int):
         mapping[v] = nxt
     out = []
     for rel in rels:
-        columns = {a: [mapping[v] for v in rel.columns[a]] for a in rel.attrs}
+        columns = {a: tuple(map(mapping.__getitem__, col)) for a, col in rel.columns.items()}
         out.append(Relation(rel.name, rel.attrs, columns, sorted_by=rel.sorted_by))
     return tuple(out)
 

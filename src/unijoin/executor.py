@@ -304,7 +304,7 @@ def _choose_structures(rel, levels, probe_only, policy, opts):
             return LeafSpec(LEAF_COUNT)
         return LeafSpec(LEAF_RANGE)
 
-    prefix_ok = (rel.sorted_by or ())[: len(levels)] == levels
+    prefix_ok = rel.sorted_on(levels)
     if policy.mode == POLICY_HASH:
         return rel, HASH, hash_leaf(), False
     if policy.mode == POLICY_SORTED:

@@ -216,10 +216,6 @@ def parse_query(text: str):
     return ConjunctiveQuery(head, tuple(atoms)), agg
 
 
-def format_plan(plan: FreeJoinPlan) -> str:
-    return str(plan) + "\n"
-
-
 def parse_plan(text: str) -> FreeJoinPlan:
     """One node per line, subatoms comma-separated: ``R(x,a), S(x)``."""
     nodes = []
@@ -292,14 +288,15 @@ def validate_plan(q: ConjunctiveQuery, plan: FreeJoinPlan) -> None:
 
 
 def convert_left_deep(q: ConjunctiveQuery, order) -> FreeJoinPlan:
-    """Straightforward conversion of a left-deep binary order into a plan.
+    """Straightforward conversion of a left-deep binary order, given as
+    relation names, into a plan.
 
     Node k iterates the variables of relation k not already bound by the
     prefix and probes relation k+1 on its variables shared with the prefix.
     A relation fully covered by the prefix contributes no iteration node;
     its probe simply stays in the previous node.
     """
-    atoms = [a if isinstance(a, Atom) else q.atom(a) for a in order]
+    atoms = [q.atom(a) for a in order]
     if {a.relation for a in atoms} != {a.relation for a in q.atoms}:
         raise PlanError("left-deep order must cover exactly the query's atoms")
     nodes: list[list[Subatom]] = []

@@ -1,13 +1,14 @@
 """Columnar in-memory relations and data ingestion.
 
-A relation stores one Python list per attribute.  Cell values are either
+A relation stores one Python tuple per attribute.  Cell values are either
 Python ints, of any size, or strings; a column never mixes the two.  A CSV
 ``int`` field is read by Python's ``int``, so ``99999999999999999999999``
 loads as itself, ``1_000`` as 1000 and `` 3 `` as 3.  Relations are
-immutable after construction (by convention: nothing in the engine mutates
-them) and may carry a ``sorted_by`` declaration asserting that rows are
-lexicographically non-decreasing over the named attributes.  The declaration
-is verified, not trusted.
+immutable: a frozen dataclass whose columns (behind a read-only mapping),
+weights and ``sorted_by`` are tuples.  A relation may carry a ``sorted_by``
+declaration asserting that rows are lexicographically non-decreasing over
+the named attributes.  It is verified once, at construction, and so holds
+for the relation's lifetime.
 
 A relation may also carry a weight column: one positive int per row, the
 row's multiplicity.  A row of weight w means the same as w copies of it, so
@@ -16,9 +17,11 @@ a materialized intermediate stores each distinct tuple once.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from operator import eq, ge, gt, le, lt, ne
+from types import MappingProxyType
 
 from .errors import LoadError, SchemaError, SortednessError
 
@@ -37,32 +40,37 @@ def kind_of(value) -> str:
     raise SchemaError(f"unsupported value {value!r} of type {type(value).__name__}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Relation:
-    """Named columnar table.
+    """Named columnar table, immutable once built.
 
-    ``columns`` maps each attribute in ``attrs`` to a list of equal length.
-    Duplicate rows are meaningful: the engine uses bag semantics throughout.
-    ``weights`` is None (every row counts once) or a list of positive ints,
-    one per row, each the number of times its row counts.
+    ``columns`` maps each attribute in ``attrs`` to a tuple of equal length,
+    through a read-only mapping.  Duplicate rows are meaningful: the engine
+    uses bag semantics throughout.  ``weights`` is None (every row counts
+    once) or a tuple of positive ints, one per row, each the number of times
+    its row counts.  The constructor also accepts lists and plain dicts, and
+    stores tuple copies of them.
     """
 
     name: str
     attrs: tuple[str, ...]
-    columns: dict[str, list] = field(repr=False)
+    columns: Mapping[str, tuple] = field(repr=False)
     sorted_by: tuple[str, ...] | None = None
-    weights: list[int] | None = field(default=None, repr=False)
+    weights: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(set(self.attrs)) != len(self.attrs):
             raise SchemaError(f"relation {self.name}: duplicate attribute names {self.attrs}")
         if set(self.columns) != set(self.attrs):
             raise SchemaError(f"relation {self.name}: columns do not match attrs")
-        sizes = {len(col) for col in self.columns.values()}
+        # ``tuple`` of a tuple is the tuple itself, so producers that build
+        # tuples pay no copy here.
+        columns = {a: tuple(self.columns[a]) for a in self.attrs}
+        object.__setattr__(self, "columns", MappingProxyType(columns))
+        sizes = set(map(len, columns.values()))
         if len(sizes) > 1:
             raise SchemaError(f"relation {self.name}: ragged columns {sizes}")
-        for attr in self.attrs:
-            col = self.columns[attr]
+        for attr, col in columns.items():
             # One C-level pass accepts a clean column; the loop below runs
             # only to name the first bad row.  A bool's type is bool, not int.
             if col and set(map(type, col)) not in ({int}, {str}):
@@ -73,13 +81,30 @@ class Relation:
                             f"relation {self.name}: column {attr} mixes kinds at row {i}"
                         )
         if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(self.weights))
             self._check_weights()
         if self.sorted_by is not None:
-            self.sorted_by = tuple(self.sorted_by)
+            object.__setattr__(self, "sorted_by", tuple(self.sorted_by))
             unknown = set(self.sorted_by) - set(self.attrs)
             if unknown:
                 raise SchemaError(f"relation {self.name}: sorted_by names unknown attrs {unknown}")
-            _check_sorted(self, self.sorted_by)
+            self._check_sorted()
+
+    def _check_sorted(self) -> None:
+        """Raise unless the rows are lexicographically non-decreasing over
+        ``sorted_by``.  Streams the comparison in C: no per-row tuple list is
+        built."""
+        cols = [self.columns[a] for a in self.sorted_by]
+        if len(cols) == 1:
+            col = cols[0]
+            descents = map(gt, col, islice(col, 1, None))
+        else:
+            descents = map(gt, zip(*cols), islice(zip(*cols), 1, None))
+        row = next(compress(count(1), descents), None)
+        if row is not None:
+            raise SortednessError(
+                f"relation {self.name}: sortedness over {self.sorted_by} violated at row {row}"
+            )
 
     def _check_weights(self) -> None:
         weights = self.weights
@@ -108,6 +133,11 @@ class Relation:
         """Number of rows counted with their weights: the bag's size."""
         return self.size if self.weights is None else sum(self.weights)
 
+    def sorted_on(self, keys) -> bool:
+        """Whether the rows are sorted by ``keys``: the declared order
+        starts with them."""
+        return (self.sorted_by or ())[: len(keys)] == tuple(keys)
+
     def kind(self, attr: str) -> str | None:
         """Kind of a column, or None when the relation is empty."""
         col = self.columns[attr]
@@ -134,9 +164,8 @@ class Relation:
             )
         if rows and not attrs:
             raise SchemaError(f"relation {name}: a relation without attributes holds no rows")
-        cols = list(map(list, zip(*rows))) if rows else [[] for _ in attrs]
-        return cls(name, attrs, dict(zip(attrs, cols)), sorted_by,
-                   None if weights is None else list(weights))
+        cols = zip(*rows) if rows else repeat((), len(attrs))
+        return cls(name, attrs, dict(zip(attrs, cols)), sorted_by, weights)
 
     def take(self, offsets, name: str | None = None, sorted_by=None) -> "Relation":
         """The rows at ``offsets`` in that order, each with its weight, under
@@ -144,9 +173,9 @@ class Relation:
         weights = self.weights
         return Relation(
             name or self.name, self.attrs,
-            {a: list(map(col.__getitem__, offsets)) for a, col in self.columns.items()},
+            {a: tuple(map(col.__getitem__, offsets)) for a, col in self.columns.items()},
             sorted_by or self.sorted_by,
-            None if weights is None else list(map(weights.__getitem__, offsets)),
+            None if weights is None else tuple(map(weights.__getitem__, offsets)),
         )
 
     def sorted_copy(self, order: tuple[str, ...]) -> "Relation":
@@ -155,27 +184,6 @@ class Relation:
         full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
         keys = list(zip(*(self.columns[a] for a in full_order)))
         return self.take(sorted(range(self.size), key=keys.__getitem__), sorted_by=full_order)
-
-
-def unsorted_row(cols) -> int | None:
-    """First row whose key over ``cols`` is below the previous row's, or None.
-
-    Streams the comparison in C: no per-row tuple list is built.
-    """
-    if len(cols) == 1:
-        col = cols[0]
-        descents = map(gt, col, islice(col, 1, None))
-    else:
-        descents = map(gt, zip(*cols), islice(zip(*cols), 1, None))
-    return next(compress(count(1), descents), None)
-
-
-def _check_sorted(rel: Relation, attrs: tuple[str, ...]) -> None:
-    row = unsorted_row([rel.columns[a] for a in attrs])
-    if row is not None:
-        raise SortednessError(
-            f"relation {rel.name}: sortedness over {attrs} violated at row {row}"
-        )
 
 
 # Characters per block of lines that ``load_csv`` converts at once: large
@@ -220,7 +228,8 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
                     col.extend(map(int, flat[i::width]) if k == INT else flat[i::width])
     except ValueError:  # a bad int, or a UnicodeDecodeError
         raise _load_error(path, attrs, kinds) from None
-    return Relation(name, attrs, dict(zip(attrs, cols)),
+    cols.reverse()  # each list is freed as its tuple is made, to bound peak memory
+    return Relation(name, attrs, {a: tuple(cols.pop()) for a in attrs},
                     sorted_by=tuple(sorted_by) if sorted_by else None)
 
 

@@ -39,7 +39,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import ne, or_, sub
 
 from .errors import ExecutionError, SortednessError
-from .storage import Relation, unsorted_row
+from .storage import Relation
 
 HASH = "hash"
 SORTED = "sorted"
@@ -152,27 +152,19 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
     """Build a trie with one level per key attribute, one insertion per row.
 
     A sorted dictionary requires the relation to be sorted with the key
-    attributes as a prefix of its declared order, and its rows to be sorted
-    by them now; a range leaf additionally requires sorted dictionaries
-    (contiguity comes from the sort).
+    attributes as a prefix of its declared order, which was verified when
+    the relation was built; a range leaf additionally requires sorted
+    dictionaries (contiguity comes from the sort).
     """
     key_attrs = tuple(key_attrs)
     for a in key_attrs:
         if a not in rel.attrs:
             raise ExecutionError(f"build_trie: {rel.name} has no attribute {a!r}")
     if dict_kind == SORTED:
-        declared = rel.sorted_by or ()
-        if declared[: len(key_attrs)] != key_attrs:
+        if not rel.sorted_on(key_attrs):
             raise SortednessError(
                 f"build_trie: sorted dictionaries over {key_attrs} require "
-                f"{rel.name} sorted by that prefix (declared: {declared})"
-            )
-        # The declaration was verified at construction; this catches a
-        # column changed since, which would break the run-boundary build.
-        row = unsorted_row([rel.columns[a] for a in key_attrs])
-        if row is not None:
-            raise SortednessError(
-                f"build_trie: {rel.name} is not sorted by {key_attrs} at row {row}"
+                f"{rel.name} sorted by that prefix (declared: {rel.sorted_by or ()})"
             )
     elif dict_kind != HASH:
         raise ExecutionError(f"unknown dictionary kind {dict_kind!r}")

@@ -1,5 +1,7 @@
 """Property-based checks over randomly generated inputs."""
 
+from itertools import compress
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +16,11 @@ from unijoin.query import (
     FreeJoinPlan,
     Subatom,
     convert_left_deep,
-    format_plan,
     optimize_plan,
     parse_query,
     plan_violation,
 )
-from unijoin.storage import Relation
+from unijoin.storage import Relation, select
 from unijoin.trie import (
     HASH,
     LEAF_COUNT,
@@ -87,6 +88,30 @@ def _contents(trie):
     return {p: sorted(leaf_offsets(leaf, trie.leaf)) for p, leaf in trie.paths().items()}
 
 
+def _draw_sorted_relation(data, rows, keys, weights):
+    """A relation over ``rows`` (sorted) declared sorted by (a, b, c), made
+    by one of the producers the engine builds sorted tries over: directly,
+    or through ``take`` at ascending offsets (a semijoin cut), ``select``,
+    or ``sorted_copy`` of the same rows shuffled."""
+    attrs = ("a", "b", "c")
+    producer = data.draw(st.sampled_from(("from_rows", "take", "select", "sorted_copy")))
+    if producer == "sorted_copy":
+        perm = data.draw(st.permutations(range(len(rows))))
+        shuffled = Relation.from_rows(
+            "R", attrs, [rows[i] for i in perm],
+            weights=None if weights is None else [weights[i] for i in perm],
+        )
+        return shuffled.sorted_copy(keys)
+    rel = Relation.from_rows("R", attrs, rows, sorted_by=attrs, weights=weights)
+    if producer == "take":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        return rel.take(list(compress(range(len(rows)), keep)))
+    if producer == "select":
+        op = data.draw(st.sampled_from(("==", "!=", "<", "<=", ">", ">=")))
+        return select(rel, "b", op, data.draw(st.integers(0, 2)))
+    return rel
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows3, st.sampled_from((("a",), ("a", "b"), ("a", "b", "c"))), st.data())
 def test_sorted_build_matches_hash_build(rows, keys, data):
@@ -94,19 +119,21 @@ def test_sorted_build_matches_hash_build(rows, keys, data):
     # kind legal under sorted dictionaries; a range leaf is compared with a
     # vec leaf, the nearest hash shape.  Some relations carry a weight
     # per row, which only count leaves read: prefix-sum differences in the
-    # sorted build, per-row sums in the hash build.
+    # sorted build, per-row sums in the hash build.  The build trusts the
+    # order verified at construction, so every producer is drawn.
     weights = data.draw(
         st.none() | st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows))
     )
-    rel = Relation.from_rows(
-        "R", ("a", "b", "c"), rows, sorted_by=("a", "b", "c"), weights=weights
-    )
+    rel = _draw_sorted_relation(data, rows, keys, weights)
+    assert all(col.__class__ is tuple for col in rel.columns.values())
+    assert (rel.weights is None) == (weights is None)
+    assert weights is None or rel.weights.__class__ is tuple
     for kind in (LEAF_RANGE, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_HASHMAP):
         srt = build_trie(rel, keys, SORTED, LeafSpec(kind))
         ref = build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC if kind == LEAF_RANGE else kind))
         assert _contents(srt) == _contents(ref)
         assert list(srt.paths()) == sorted(ref.paths())  # keys ascend at every level
-        assert srt.insertions == ref.insertions == len(rows)
+        assert srt.insertions == ref.insertions == rel.size
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,7 +291,8 @@ def fuzz_gj_plan(draw, q):
         bound = {v for a in order for v in a.vars}
         joinable = [a for a in q.atoms if a not in order and bound & set(a.vars)]
         order.append(draw(st.sampled_from(joinable)))
-    return optimize_plan(q, convert_left_deep(q, order), MODE_GENERIC_JOIN)
+    plan = convert_left_deep(q, [a.relation for a in order])
+    return optimize_plan(q, plan, MODE_GENERIC_JOIN)
 
 
 def _connected(atoms) -> bool:
@@ -381,7 +409,7 @@ def test_fuzzed_instances_run_through_cli(tmp_path_factory, capsys, case):
         catalog.append(f"{name} {name}.csv {schema}{order}\n")
     (out / "catalog.txt").write_text("".join(catalog), encoding="utf-8")
     (out / "query.txt").write_text(text + "\n", encoding="utf-8")
-    (out / "plan.txt").write_text(format_plan(plan), encoding="utf-8")
+    (out / "plan.txt").write_text(str(plan), encoding="utf-8")
     for dicts in ("hash", "sorted", "hybrid"):
         code = main([
             "run", "--catalog", str(out / "catalog.txt"), "--query", str(out / "query.txt"),

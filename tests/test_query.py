@@ -18,7 +18,6 @@ from unijoin.query import (
     Subatom,
     convert_left_deep,
     decompose_bushy,
-    format_plan,
     liveness,
     optimize_plan,
     parse_bushy,
@@ -92,7 +91,7 @@ class TestPlanText:
     def test_round_trip(self):
         text = "R(x,a), S(x), T(x)\nS(b)\n"
         plan = parse_plan(text)
-        assert format_plan(plan) == text
+        assert str(plan) + "\n" == text
 
     def test_comments_and_blanks_ignored(self):
         plan = parse_plan("# plan\n\nR(x)\n")

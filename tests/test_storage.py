@@ -2,6 +2,7 @@
 adversarial triangle generator."""
 
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -98,20 +99,40 @@ class TestRelation:
         out = rel.take([1, 3])
         assert (out.name, out.attrs, out.sorted_by) == ("R", ("a", "b"), ("a",))
         assert out.rows() == [(2, "y"), (3, "w")]
-        assert out.weights == [5, 7]
+        assert out.weights == (5, 7)
         assert out.columns["a"] is not rel.columns["a"]
         assert rel.take([]).size == 0
         renamed = rel.take([3, 0], "R2", ("b",))
         assert (renamed.name, renamed.sorted_by) == ("R2", ("b",))
-        assert (renamed.rows(), renamed.weights) == ([(3, "w"), (1, "x")], [7, 4])
+        assert (renamed.rows(), renamed.weights) == ([(3, "w"), (1, "x")], (7, 4))
         with pytest.raises(SortednessError):
             rel.take([3, 0])  # a permutation must name the order it sorts by
+
+    def test_built_relation_is_immutable(self):
+        # The declared order is verified once, at construction, so no
+        # change to a built relation may slip past that check.
+        col, weights = [1, 2, 3], [4, 5, 6]
+        rel = Relation("R", ("a",), {"a": col}, sorted_by=["a"], weights=weights)
+        col[0], weights[0] = 9, 9  # the caller's lists are copied, not kept
+        with pytest.raises(TypeError):
+            rel.columns["a"][0] = 9
+        with pytest.raises(TypeError):
+            rel.columns["a"] = (3, 2, 1)
+        with pytest.raises(FrozenInstanceError):
+            rel.columns = {"a": (3, 2, 1)}
+        with pytest.raises(FrozenInstanceError):
+            rel.sorted_by = ()
+        with pytest.raises(FrozenInstanceError):
+            rel.weights = (1, 1, 1)
+        with pytest.raises(TypeError):
+            rel.weights[0] = 9
+        assert (rel.rows(), rel.weights, rel.sorted_by) == ([(1,), (2,), (3,)], (4, 5, 6), ("a",))
 
 
 class TestWeights:
     def test_weights_kept(self):
         rel = Relation.from_rows("R", ("a",), [(1,), (2,)], weights=[3, 1])
-        assert rel.weights == [3, 1]
+        assert rel.weights == (3, 1)
         assert rel.size == 2
         assert rel.total_weight == 4
         assert Relation.from_rows("R", ("a",), [(1,)]).total_weight == 1
@@ -136,14 +157,14 @@ class TestWeights:
         rel = Relation.from_rows("R", ("a", "b"), [(2, 1), (1, 3), (1, 2)], weights=[5, 6, 7])
         out = rel.sorted_copy(("a",))
         assert out.rows() == [(1, 2), (1, 3), (2, 1)]
-        assert out.weights == [7, 6, 5]
+        assert out.weights == (7, 6, 5)
         assert Relation.from_rows("R", ("a",), [(2,), (1,)]).sorted_copy(("a",)).weights is None
 
     def test_select_keeps_weights(self):
         rel = Relation.from_rows("R", ("a",), [(1,), (2,), (3,)], weights=[4, 5, 6])
         out = select(rel, "a", "!=", 2)
         assert out.rows() == [(1,), (3,)]
-        assert out.weights == [4, 6]
+        assert out.weights == (4, 6)
         assert select(Relation.from_rows("R", ("a",), [(1,)]), "a", "==", 1).weights is None
 
 
@@ -233,8 +254,9 @@ class _BadLine(Exception):
 
 
 def _load_per_row(path, kinds):
-    """Reference loader: one line, one split and one conversion at a time.
-    Raises ``_BadLine(lineno)`` at the first line it cannot convert."""
+    """Reference loader: one line, one split and one conversion at a time,
+    returning one tuple per column.  Raises ``_BadLine(lineno)`` at the
+    first line it cannot convert."""
     cols = [[] for _ in kinds]
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -246,7 +268,7 @@ def _load_per_row(path, kinds):
                     col.append(int(text) if kind == "int" else text)
                 except ValueError:
                     raise _BadLine(lineno) from None
-    return cols
+    return [tuple(col) for col in cols]
 
 
 _GOOD_INT = st.integers(-10**25, 10**25).map(str) | st.sampled_from([" 3 ", "1_000", "+7"])

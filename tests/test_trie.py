@@ -157,19 +157,6 @@ class TestBuildTrie:
         with pytest.raises(SortednessError):
             build_trie(rel, ("a",), SORTED, LeafSpec(LEAF_RANGE))
 
-    def test_build_rejects_rows_changed_since_load(self):
-        """A column changed after construction no longer matches the verified
-        declaration; the sorted build checks the rows itself."""
-        for keys, attr in ((("a",), "a"), (("a", "b"), "b")):
-            rel = Relation.from_rows(
-                "R", ("a", "b"), [(1, 1), (1, 2), (2, 1), (2, 3)], sorted_by=("a", "b")
-            )
-            rel.columns[attr][3] = 0  # row 3 now sorts below row 2
-            for kind in (LEAF_RANGE, LEAF_VEC, LEAF_COUNT):
-                with pytest.raises(SortednessError, match="at row 3"):
-                    build_trie(rel, keys, SORTED, LeafSpec(kind))
-            build_trie(rel, keys, HASH, LeafSpec(LEAF_VEC))  # hash needs no order
-
     def test_range_requires_sorted_dicts(self):
         rel = Relation.from_rows("R", ("a",), [(1,)], sorted_by=("a",))
         with pytest.raises(ExecutionError):
