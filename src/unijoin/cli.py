@@ -79,9 +79,9 @@ def load_catalog(path: str):
             raise SchemaError(f"{path}:{lineno}: duplicate relation name {name!r}")
         schema = []
         for col in schema_text.split(","):
-            if ":" not in col:
+            attr, colon, kind = col.partition(":")
+            if not attr or not colon:
                 raise SchemaError(f"{path}:{lineno}: bad column spec {col!r}")
-            attr, kind = col.split(":", 1)
             schema.append((attr, kind))
         sorted_by = None
         if len(fields) == 4:

@@ -1,17 +1,21 @@
 """Unified plan interpreter.
 
-One evaluator runs every plan in the spectrum.  Before execution each plan
-node is compiled into a source and a flat tuple of probes.  The source is
-what the node's first subatom iterates: the row offsets of a leaf (a scan
-walks a range leaf over every row), or the key paths of one or more trie
-levels.  At run time every node runs the same iterate-then-probe loop: per
-item it binds the source's variables, then descends each probe's trie levels
-(a dict lookup, or ``bisect`` on a sorted dictionary) and recurses into the
-next node when all hit.  Bindings accumulate down the node list; reaching
-the end of the plan emits one satisfying assignment with a multiplicity.
-The probe, hit, comparison and intermediate counters are kept in local ints
-and added to ``ExecStats`` once per execution; a sorted lookup over k keys
-counts ``k.bit_length()`` comparisons.
+One evaluator runs every plan in the spectrum.  One pass decides each
+atom's access once, as a record: the relation (a sorted copy when sorted
+dictionaries need one), the trie node each of its subatoms starts from, the
+leaf spec, the dictionary kind and how many subatoms descend trie levels.
+Each plan node is compiled straight from these records into what its first
+subatom iterates -- the row offsets of a leaf (a scan walks a range leaf
+over every row), or the key paths of one or more trie levels -- and a flat
+tuple of probes.  At run time every node runs the same iterate-then-probe
+loop: per item it binds the first subatom's variables, then descends each
+probe's trie levels (a dict lookup, or ``bisect`` on a sorted dictionary)
+and recurses into the next node when all hit.  Bindings accumulate down the
+node list; reaching the end of the plan emits one satisfying assignment
+with a multiplicity.  Every counter of the run loop (probes, hits,
+comparisons, intermediates, outputs and min operations) is a local int added
+to ``ExecStats`` once per execution, and the build counters are added once
+per trie; a sorted lookup over k keys counts ``k.bit_length()`` comparisons.
 
 Optimization toggles:
 
@@ -190,14 +194,6 @@ class ResultBag:
     count: int = None
     minima: tuple = None
 
-    @property
-    def empty(self) -> bool:
-        if self.kind == AGG_COUNT:
-            return self.count == 0
-        if self.kind == AGG_MIN:
-            return self.minima is None
-        return not self.tuples
-
     def sorted_rows(self):
         """(tuple, multiplicity) pairs in lexicographic tuple order."""
         return sorted(self.tuples.items())
@@ -219,39 +215,6 @@ def _result(agg: AggregationSpec, out_vars, tuples=None, count=0, minima=None) -
     if agg.kind == AGG_MIN:
         return ResultBag(AGG_MIN, out_vars, minima=minima)
     return ResultBag(AGG_FULL, out_vars, {} if tuples is None else tuples)
-
-
-# What a plan node's first subatom iterates.
-_ITER_KEYS = 1
-_ITER_LEAF = 2
-
-
-class _AtomAccess:
-    """How one atom's relation is touched by a plan: a trie with ``spec``
-    leaves, where a scan's trie is just a range leaf over every row.
-    ``slots[i]`` is the trie node subatom ``i`` starts from: the root for
-    ``i == 0``, else the node subatom ``i - 1`` reached."""
-
-    __slots__ = ("rel", "spec", "slots")
-
-    def __init__(self, rel, root, spec, nparts):
-        self.rel = rel
-        self.spec = spec
-        self.slots = [root] + [None] * nparts
-
-
-def _source(mode, acc, idx, bind):
-    """(items, count) a node's first subatom iterates: a leaf's row offsets,
-    or (key, child) pairs of one trie level (``bind`` is its variable) or
-    (key path, child) pairs of several.  The count ignores weights."""
-    node = acc.slots[idx]
-    if mode == _ITER_LEAF:
-        offsets = leaf_offsets(node, acc.spec)
-        return offsets, len(offsets)
-    if bind.__class__ is str:
-        return node.items(), len(node)
-    paths = key_paths(node, len(bind))
-    return paths, len(paths)
 
 
 def _semijoin_reduce(node, relations, var_attr):
@@ -284,38 +247,26 @@ def _semijoin_reduce(node, relations, var_attr):
 
 
 def _choose_structures(rel, levels, probe_only, policy, opts):
-    """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made)."""
+    """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made).
 
-    # Offsets cannot carry weights, so a weighted probe-only relation needs
-    # the count leaf whatever O4 says.
-    count_leaf = probe_only and (opts.o4 or rel.weights is not None)
-
-    def hash_leaf():
-        if count_leaf:
-            return LeafSpec(LEAF_COUNT)
-        if opts.o2:
-            return LeafSpec(LEAF_SMALLVEC)
-        if opts.o1:
-            return LeafSpec(LEAF_VEC)
-        return LeafSpec(LEAF_HASHMAP)
-
-    def sorted_leaf():
-        if count_leaf:
-            return LeafSpec(LEAF_COUNT)
-        return LeafSpec(LEAF_RANGE)
-
+    Under ``hybrid`` a probe-only relation is never walked in key order, so
+    a bisect per level would buy nothing over one dict lookup.  Offsets
+    cannot carry weights, so a weighted probe-only relation needs the count
+    leaf whatever O4 says.
+    """
     prefix_ok = rel.sorted_on(levels)
-    if policy.mode == POLICY_HASH:
-        return rel, HASH, hash_leaf(), False
-    if policy.mode == POLICY_SORTED:
-        if prefix_ok:
-            return rel, SORTED, sorted_leaf(), False
-        return rel.sorted_copy(levels), SORTED, sorted_leaf(), True
-    # hybrid.  A probe-only relation is never walked in key order, so a
-    # bisect per level would buy nothing over one dict lookup.
-    if prefix_ok and not probe_only:
-        return rel, SORTED, sorted_leaf(), False
-    return rel, HASH, hash_leaf(), False
+    is_sorted = policy.mode == POLICY_SORTED or (
+        policy.mode == POLICY_HYBRID and prefix_ok and not probe_only
+    )
+    if probe_only and (opts.o4 or rel.weights is not None):
+        leaf = LEAF_COUNT
+    elif is_sorted:
+        leaf = LEAF_RANGE
+    else:
+        leaf = LEAF_SMALLVEC if opts.o2 else LEAF_VEC if opts.o1 else LEAF_HASHMAP
+    if is_sorted and not prefix_ok:
+        return rel.sorted_copy(levels), SORTED, LeafSpec(leaf), True
+    return rel, SORTED if is_sorted else HASH, LeafSpec(leaf), False
 
 
 def execute(
@@ -384,79 +335,79 @@ def execute(
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return _result(agg, out_vars), stats
-    # (node, position) -> (access, part index, levels) for every subatom;
-    # levels is None for the part that iterates rows (a leaf, or a scan's
-    # range leaf), else the trie levels it descends, where a single hash
-    # level is just its variable and any other is (var, is_sorted) pairs.
-    parts: dict[tuple[int, int], tuple] = {}
+    # One access record per atom: (relation, slots, leaf spec, is_sorted,
+    # keyed parts).  The first ``keyed`` parts descend trie levels; a last
+    # part that a node iterates first walks the leaf offsets (a scan walks a
+    # range leaf over every row).  ``slots[i]`` is the trie node part ``i``
+    # starts from: the root for ``i == 0``, else the node part ``i - 1``
+    # reached.
+    access = {}
     for name in sorted({s.relation for node in working.nodes for s in node}):
         subs = working.subatoms_of(name)
         rel = relations[name]
-        key_subs = subs[:-1] if subs[-1][1] == 0 else subs
-        is_sorted = False
-        if key_subs:
+        keyed = len(subs) - 1 if subs[-1][1] == 0 else len(subs)
+        if keyed:
             level_attrs = tuple(
-                var_attr[(name, v)] for _, _, sub in key_subs for v in sub.vars
+                var_attr[(name, v)] for _, _, sub in subs[:keyed] for v in sub.vars
             )
             rel, dict_kind, spec, sorted_copy = _choose_structures(
-                rel, level_attrs, len(key_subs) == len(subs), policy, opts
+                rel, level_attrs, keyed == len(subs), policy, opts
             )
-            if sorted_copy:
-                stats.sort_ops += 1
+            stats.sort_ops += sorted_copy
             trie = build_trie(rel, level_attrs, dict_kind, spec)
             stats.trie_build_insertions += trie.insertions
-            if name in intermediate_names:
-                stats.deep_intermediate_tries += 1
-            acc = _AtomAccess(rel, trie.root, spec, len(subs))
-            is_sorted = dict_kind == SORTED
-        else:  # a scan
-            acc = _AtomAccess(rel, range(rel.size), LeafSpec(LEAF_RANGE), 1)
-        for idx, (ni, pi, sub) in enumerate(subs):
-            if idx == len(key_subs):
-                levels = None
-            elif is_sorted or len(sub.vars) != 1:
-                levels = tuple((v, is_sorted) for v in sub.vars)
-            else:
-                levels = sub.vars[0]
-            parts[(ni, pi)] = (acc, idx, levels)
+            stats.deep_intermediate_tries += name in intermediate_names
+            root, is_sorted = trie.root, dict_kind == SORTED
+        else:
+            root, spec, is_sorted = range(rel.size), LeafSpec(LEAF_RANGE), False
+        access[name] = (rel, [root] + [None] * len(subs), spec, is_sorted, keyed)
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
-    # Compile each node into (mode, access, part index, bind, probes), bind
-    # being (var, column) pairs for row offsets, else the key variable(s).  A
+    # Compile each node into (leaf spec, slots, part index, bind, weights,
+    # probes).  The spec is set when the first subatom walks leaf offsets,
+    # and bind is then (var, column) pairs; else it walks trie keys and bind
+    # is its variable, or its variables when it spans several levels.  A
     # probe is (slots, part index, levels, leaf spec or None): it descends
-    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``; the spec is set
-    # for an atom's final, probe-only part, whose group size multiplies.
+    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``, where a single
+    # hash level is just its variable and any other is (var, is_sorted)
+    # pairs; the spec is set for an atom's final, probe-only part, whose
+    # group size multiplies.
+    part = dict.fromkeys(access, 0)  # atom -> index of its next part
     nodes = []
-    for ni, node in enumerate(working.nodes):
+    for node in working.nodes:
         probes = []
-        for pi in range(1, len(node)):
-            acc, idx, levels = parts[(ni, pi)]
-            final = idx + 2 == len(acc.slots)  # the atom's last part
-            probes.append((acc.slots, idx, levels, acc.spec if final else None))
-        first = node[0]
-        acc, idx, levels = parts[(ni, 0)]
-        if levels is None:  # bind from the rows at each offset
-            mode = _ITER_LEAF
-            bind = tuple(
-                (v, acc.rel.columns[var_attr[(first.relation, v)]]) for v in first.vars
-            )
-        else:
-            mode = _ITER_KEYS
-            bind = first.vars[0] if len(first.vars) == 1 else first.vars
-        nodes.append((mode, acc, idx, bind, tuple(probes)))
+        for pos, sub in enumerate(node):
+            rel, slots, spec, is_sorted, keyed = access[sub.relation]
+            idx = part[sub.relation]
+            part[sub.relation] += 1
+            if pos:
+                if is_sorted or len(sub.vars) != 1:
+                    levels = tuple((v, is_sorted) for v in sub.vars)
+                else:
+                    levels = sub.vars[0]
+                final = idx + 2 == len(slots)  # the atom's last part
+                probes.append((slots, idx, levels, spec if final else None))
+            elif idx == keyed:  # bind from the rows at each offset
+                cols = rel.columns
+                bind = tuple((v, cols[var_attr[(sub.relation, v)]]) for v in sub.vars)
+                first = (spec, slots, idx, bind, rel.weights)
+            else:
+                bind = sub.vars[0] if len(sub.vars) == 1 else sub.vars
+                first = (None, slots, idx, bind, None)
+        nodes.append(first + (tuple(probes),))
 
     # A trailing run of single-subatom nodes whose iterator is terminal
     # (leaf offsets, a scan's among them) touches nothing downstream, so
     # count and min aggregates can combine those loops instead of nesting them.
-    n_nodes = len(nodes)
-    suffix_start = n_nodes
+    suffix_start = len(nodes)
     if opts.o5 and agg.kind in (AGG_COUNT, AGG_MIN):
         while suffix_start > 0:
-            mode, _, _, _, probes = nodes[suffix_start - 1]
-            if probes or mode == _ITER_KEYS:
+            spec, _, _, _, _, probes = nodes[suffix_start - 1]
+            if probes or spec is None:
                 break
             suffix_start -= 1
 
+    n_probes = n_hits = n_comps = n_inter = n_out = n_min = 0
     binding: dict[str, object] = {}
     bag: dict[tuple, int] = {}
     count = 0
@@ -467,16 +418,16 @@ def execute(
         out_key = lambda b: tuple(b[v] for v in out_vars)
 
     def fold_min(vals):
-        nonlocal minima
+        nonlocal minima, n_min
         if minima is None:
             minima = vals
         else:
             minima = [m if m <= x else x for m, x in zip(minima, vals)]
-        stats.min_ops += len(out_vars)
+        n_min += len(out_vars)
 
     def emit(mult: int):
-        nonlocal count
-        stats.output_tuples += mult
+        nonlocal count, n_out
+        n_out += mult
         if agg.kind == AGG_COUNT:
             count += mult
         elif agg.kind == AGG_MIN:
@@ -486,17 +437,16 @@ def execute(
             bag[key] = bag.get(key, 0) + mult
 
     def finish_factorized(mult: int):
-        nonlocal count
+        nonlocal count, n_out, n_min
         total = mult
         branches = []
-        for mode, acc, idx, bind, _ in nodes[suffix_start:]:
-            offsets, size = _source(mode, acc, idx, bind)
-            if not size:
+        for spec, slots, idx, bind, weights, _ in nodes[suffix_start:]:
+            offsets = leaf_offsets(slots[idx], spec)
+            if not offsets:
                 return
             branches.append((offsets, bind))
-            weights = acc.rel.weights
-            total *= size if weights is None else sum(map(weights.__getitem__, offsets))
-        stats.output_tuples += total
+            total *= len(offsets) if weights is None else sum(map(weights.__getitem__, offsets))
+        n_out += total
         if agg.kind == AGG_COUNT:
             count += total
             return
@@ -505,33 +455,37 @@ def execute(
             for v, col in bind:
                 if v in out_vars:
                     branch_min[v] = min(col[off] for off in offsets)
-                    stats.min_ops += len(offsets)
+                    n_min += len(offsets)
         fold_min([branch_min[v] if v in branch_min else binding[v] for v in out_vars])
 
-    if suffix_start < n_nodes:
-        finish = finish_factorized
-    else:
-        finish = emit
-
-    n_probes = n_hits = n_comps = n_inter = 0
+    finish = finish_factorized if suffix_start < len(nodes) else emit
 
     def run(ni: int, mult: int):
-        """Iterate node ``ni``'s source; per item, bind its variables, probe
-        the other subatoms in order and, if all hit, recurse with the product
-        of the row's weight and the probe-only group sizes."""
+        """Iterate node ``ni``'s first subatom: a leaf's row offsets, or the
+        (key, child) pairs of one trie level or the (key path, child) pairs
+        of several.  Per item, bind its variables, probe the other subatoms
+        in order and, if all hit, recurse with the product of the row's
+        weight and the probe-only group sizes."""
         nonlocal n_probes, n_hits, n_comps, n_inter
         if ni == suffix_start:
             finish(mult)
             return
-        mode, acc, idx, bind, probes = nodes[ni]
-        items, size = _source(mode, acc, idx, bind)
+        leaf, slots, idx, bind, weights, probes = nodes[ni]
+        node = slots[idx]
+        if leaf is not None:
+            items = leaf_offsets(node, leaf)
+            size = len(items)
+        elif bind.__class__ is str:
+            items, size = node.items(), len(node)
+        else:
+            items = key_paths(node, len(bind))
+            size = len(items)
         if ni:
             n_inter += size
-        slots, out = acc.slots, idx + 1
-        weights = acc.rel.weights
+        out = idx + 1
         for item in items:
             m = mult
-            if mode == _ITER_KEYS:
+            if leaf is None:
                 key, slots[out] = item
                 if bind.__class__ is str:
                     binding[bind] = key
@@ -578,6 +532,8 @@ def execute(
     stats.probe_hits += n_hits
     stats.comparisons += n_comps
     stats.intermediate_tuples += n_inter
+    stats.output_tuples += n_out
+    stats.min_ops += n_min
 
     return _result(agg, out_vars, bag, count, tuple(minima) if minima else None), stats
 

@@ -242,6 +242,8 @@ def plan_violation(q: ConjunctiveQuery, plan: FreeJoinPlan) -> str | None:
         for sub in node:
             if sub.relation not in atom_vars:
                 return f"subatom {sub}: relation not in query"
+            if len(set(sub.vars)) != len(sub.vars):
+                return f"subatom {sub}: repeated variable"
             extra = set(sub.vars) - set(atom_vars[sub.relation])
             if extra:
                 return f"subatom {sub}: variables {sorted(extra)} not bound by the atom"

@@ -143,9 +143,6 @@ class Relation:
         col = self.columns[attr]
         return kind_of(col[0]) if col else None
 
-    def row(self, offset: int) -> tuple:
-        return tuple(self.columns[a][offset] for a in self.attrs)
-
     def rows(self):
         """The stored rows, each once whatever its weight."""
         cols = [self.columns[a] for a in self.attrs]

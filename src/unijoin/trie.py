@@ -129,11 +129,10 @@ def key_paths(node, depth):
 
 
 def leaf_offsets(leaf, spec: LeafSpec):
-    """Iterate a non-count leaf's offsets in insertion order."""
+    """A non-count leaf's offsets in insertion order, as a sized iterable (a
+    ``hashmap`` leaf iterates its keys, which are its offsets)."""
     if spec.kind == LEAF_SMALLVEC and leaf.__class__ is int:
         return (leaf,)
-    if spec.kind == LEAF_HASHMAP:
-        return leaf.keys()
     return leaf
 
 
@@ -215,15 +214,13 @@ def _build_hash1(col, leaf: LeafSpec, weights=None):
     elif kind == LEAF_COUNT:
         for k, w in zip(col, repeat(1) if weights is None else weights):
             root[k] = get(k, 0) + w
-    elif kind == LEAF_HASHMAP:
+    else:  # hashmap; build_trie has refused every other kind
         for off, k in enumerate(col):
             group = get(k)
             if group is None:
                 root[k] = {off: 1}
             else:
                 group[off] = group.get(off, 0) + 1
-    else:
-        raise ExecutionError(f"leaf kind {kind!r} illegal for hash dictionaries")
     return root
 
 

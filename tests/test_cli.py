@@ -123,6 +123,13 @@ class TestRun:
         plan.write_text("R(x), S(y)\nS(z)\n")
         assert self.run(workspace, "--plan", f"file:{plan}") == 2
 
+    def test_repeated_plan_variable_exit_2(self, workspace, capsys):
+        plan = workspace / "bad.plan"
+        plan.write_text("R(x,y), S(y)\nS(z,z)\n")
+        assert self.run(workspace, "--plan", f"file:{plan}") == 2
+        err = capsys.readouterr().err
+        assert err == "error: subatom S(z,z): repeated variable\n"
+
     def test_missing_catalog_exit_1(self, workspace):
         code = main(
             ["run", "--catalog", str(workspace / "nope.txt"),
@@ -173,12 +180,13 @@ class TestRun:
         "line,csv,message",
         [
             ("S s.csv a:float", "10,7\n", "unknown kind 'float' in schema for S"),
+            ("S s.csv :int,b:int", "10,7\n", "bad column spec ':int'"),
             ("S s.csv a:int,b:int sorted_by=", "10,7\n",
              "relation S: sorted_by names unknown attrs {''}"),
             ("S s.csv a:int,b:int sorted_by=a", "10,7\n2,9\n",
              "relation S: sortedness over ('a',) violated at row 1"),
         ],
-        ids=["kind", "sorted_by", "sortedness"],
+        ids=["kind", "empty_attr", "sorted_by", "sortedness"],
     )
     def test_catalog_error_names_catalog_line(self, workspace, capsys, line, csv, message):
         (workspace / "s.csv").write_text(csv)

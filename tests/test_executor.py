@@ -195,16 +195,33 @@ class TestLoopShapes:
 
 
 class TestPinnedCounters:
-    """Probe, hit, intermediate and output counts on the adversarial triangle
-    at n=40.  They follow from the plan and the data alone, so a rewrite of
-    the interpreter loop must reproduce them exactly."""
+    """Every non-timing counter on small fixed instances.  They follow from
+    the plan, the policy and the data alone, so a rewrite of the interpreter
+    loop or of the access decisions must reproduce them exactly."""
 
-    EXPECTED = {  # (plan, policy) -> (probes, probe_hits, intermediate, output)
-        ("binary", "hash"): (880, 480, 420, 20),
-        ("binary", "hybrid"): (880, 480, 420, 20),
-        ("gj", "hash"): (80, 60, 40, 20),
-        ("gj", "hybrid"): (80, 60, 40, 20),
+    COUNTERS = (
+        "probes",
+        "probe_hits",
+        "intermediate_tuples",
+        "output_tuples",
+        "comparisons",
+        "trie_build_insertions",
+        "sort_ops",
+        "min_ops",
+    )
+
+    # (plan, policy) -> COUNTERS on the adversarial triangle at n=40
+    EXPECTED = {
+        ("binary", "hash"): (880, 480, 420, 20, 0, 80, 0, 0),
+        ("binary", "sorted"): (880, 480, 420, 20, 4320, 80, 0, 0),
+        ("binary", "hybrid"): (880, 480, 420, 20, 200, 80, 0, 0),
+        ("gj", "hash"): (80, 60, 40, 20, 0, 100, 0, 0),
+        ("gj", "sorted"): (80, 60, 40, 20, 320, 100, 1, 0),
+        ("gj", "hybrid"): (80, 60, 40, 20, 100, 100, 0, 0),
     }
+
+    def got(self, s):
+        return tuple(getattr(s, name) for name in self.COUNTERS)
 
     @pytest.mark.parametrize("plan_name,policy", sorted(EXPECTED))
     def test_counters(self, plan_name, policy):
@@ -214,8 +231,54 @@ class TestPinnedCounters:
         if plan_name == "gj":
             plan = optimize_plan(q, plan, MODE_GENERIC_JOIN)
         _, s = execute(q, plan, rels, agg, StructurePolicy(policy))
-        got = (s.probes, s.probe_hits, s.intermediate_tuples, s.output_tuples)
-        assert got == self.EXPECTED[(plan_name, policy)]
+        assert self.got(s) == self.EXPECTED[(plan_name, policy)]
+
+    # policy -> (count, COUNTERS); the same with O5 on and off
+    BUSHY_CYCLE4 = {
+        "hash": (279, (36, 35, 32, 324, 0, 20, 0, 0)),
+        "sorted": (279, (36, 35, 32, 324, 72, 20, 1, 0)),
+        "hybrid": (279, (36, 35, 32, 324, 24, 20, 0, 0)),
+    }
+
+    @pytest.mark.parametrize("o5", (True, False))
+    @pytest.mark.parametrize("policy", sorted(BUSHY_CYCLE4))
+    def test_weighted_bushy_cycle4_count(self, policy, o5):
+        q, agg = parse_query("Q(COUNT) :- R(a,b), S(b,c), T(c,d), U(d,a)")
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        rows = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]
+        rels = {
+            name: Relation.from_rows(
+                name, ("u", "v"), rows, sorted_by=("u", "v"),
+                weights=[1 + (i + k) % 3 for i in range(len(rows))],
+            )
+            for k, name in enumerate("RSTU")
+        }
+        result, s = execute_bushy(q, tree, rels, agg, StructurePolicy(policy), OptConfig(o5=o5))
+        assert (result.count, self.got(s)) == self.BUSHY_CYCLE4[policy]
+        assert result.count == nested_loop(q, rels, agg)
+        assert s.deep_intermediate_tries == 1
+
+    # policy -> COUNTERS; sorted re-sorts R, which declares no order
+    KEY_WALK = {
+        "hash": (18, 12, 6, 8, 0, 22, 0, 0),
+        "sorted": (18, 12, 6, 8, 27, 22, 1, 0),
+        "hybrid": (18, 12, 6, 8, 0, 22, 0, 0),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(KEY_WALK))
+    def test_multi_variable_key_walk(self, policy):
+        # The root walks R's and S's key paths over (a, b) together.
+        q, agg = parse_query("Q(a,b,c) :- R(a,b,c), S(a,b)")
+        rels = {
+            "R": Relation.from_rows(
+                "R", ("a", "b", "c"), sorted((i % 3, i % 5, i) for i in range(30))
+            ),
+            "S": rel("S", ("a", "b"), [(0, 0), (1, 1), (1, 1), (2, 3)]),
+        }
+        plan = parse_plan("R(a,b), S(a,b)\nR(c)")
+        result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
+        assert self.got(s) == self.KEY_WALK[policy]
+        assert result.matches_reference(nested_loop(q, rels, agg))
 
 
 class TestToggles:
@@ -269,7 +332,7 @@ class TestToggles:
         on, s_on = execute(q, plan, rels, agg, opts=OptConfig())
         off, s_off = execute(q, plan, rels, agg, opts=OptConfig(o5=False))
         assert on.minima == off.minima == (10, 20)
-        assert s_on.min_ops < s_off.min_ops
+        assert (s_on.min_ops, s_off.min_ops) == (14, 72)
         assert s_on.output_tuples == s_off.output_tuples == k * k
 
     def test_opt_config_parsing(self):
@@ -360,7 +423,7 @@ class TestEdgeCases:
         rels = {"R": rel("R", ("a",), [(1,)]), "S": rel("S", ("a",), [(2,)])}
         plan = convert_left_deep(q, ("R", "S"))
         result, _ = execute(q, plan, rels, agg)
-        assert result.minima is None and result.empty
+        assert result.kind == AGG_MIN and result.minima is None
 
     def test_missing_relation(self):
         q, agg = parse_query("Q(x) :- R(x)")
@@ -381,17 +444,17 @@ class TestEdgeCases:
             "R": rel("R", ("a", "b"), [(1, 10), (2, 20)]),
             "S": rel("S", ("a", "b"), [("10", 7), ("20", 8)]),
         }
-        aggs = (
-            AggregationSpec(AGG_FULL, q.head),
-            AggregationSpec(AGG_COUNT, ()),
-            AggregationSpec(AGG_MIN, ("a",)),
+        aggs = (  # (aggregate, the field an empty join leaves, its value)
+            (AggregationSpec(AGG_FULL, q.head), "tuples", {}),
+            (AggregationSpec(AGG_COUNT, ()), "count", 0),
+            (AggregationSpec(AGG_MIN, ("a",)), "minima", None),
         )
-        for agg in aggs:
+        for agg, field, empty in aggs:
             reference = nested_loop(q, rels, agg)
             for plan in plans_for(q):
                 for policy in POLICIES:
                     result, _ = execute(q, plan, rels, agg, policy)
-                    assert result.empty
+                    assert result.kind == agg.kind and getattr(result, field) == empty
                     assert result.matches_reference(reference)
 
     def test_duplicates_multiply(self):
@@ -528,11 +591,12 @@ class TestSemijoinReduction:
     def test_empty_subset_builds_no_trie(self, monkeypatch):
         monkeypatch.setattr(executor, "build_trie", None)  # any build fails
         rels = self.relations(s0=[(99,)])  # no x of S1 or S2
-        for head in ("x,a,b", "MIN(a,b)"):
+        for head, field, empty in (("x,a,b", "tuples", {}), ("MIN(a,b)", "minima", None)):
             q, agg = parse_query(self.QUERY.format(head=head))
             for policy in POLICIES:
                 result, s = execute(q, self.plan(q), rels, agg, policy)
-                assert result.empty and result.matches_reference(nested_loop(q, rels, agg))
+                assert getattr(result, field) == empty
+                assert result.matches_reference(nested_loop(q, rels, agg))
                 assert (s.trie_build_insertions, s.probes) == (0, 0)
 
     def test_scan_first_plan_builds_in_full(self):

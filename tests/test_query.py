@@ -26,7 +26,7 @@ from unijoin.query import (
     plan_violation,
     validate_plan,
 )
-from unijoin.storage import Relation
+from unijoin.storage import Relation, gen_adversarial_triangle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,6 +142,16 @@ class TestValidatePlan:
     def test_unknown_relation(self):
         with pytest.raises(PlanError):
             validate_plan(self.q, parse_plan("R(x,a), S(x), T(x), Z(x)\nS(b)"))
+
+    def test_repeated_variable_in_subatom(self):
+        # T(c,a,a) covers exactly T's variables, so only a per-subatom check
+        # sees the repeat.
+        q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
+        plan = parse_plan("R(a,b), S(b)\nS(c), T(c,a,a)")
+        assert "subatom T(c,a,a): repeated variable" in plan_violation(q, plan)
+        rels = {r.name: r for r in gen_adversarial_triangle(4)}
+        with pytest.raises(PlanError):
+            execute(q, plan, rels, agg)
 
     def test_two_subatoms_in_one_node(self):
         assert "share a node" in plan_violation(

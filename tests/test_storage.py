@@ -38,7 +38,7 @@ class TestRelation:
         rel = Relation.from_rows("R", ("a", "b"), [(1, "x"), (2, "y")])
         assert rel.size == 2
         assert rel.rows() == [(1, "x"), (2, "y")]
-        assert rel.row(1) == (2, "y")
+        assert rel.rows()[1] == (2, "y")
         assert rel.kind("a") == "int"
         assert rel.kind("b") == "str"
 
