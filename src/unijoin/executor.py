@@ -2,20 +2,29 @@
 
 One evaluator runs every plan in the spectrum.  One pass decides each
 atom's access once, as a record: the relation (a sorted copy when sorted
-dictionaries need one), the trie node each of its subatoms starts from, the
-leaf spec, the dictionary kind and how many subatoms descend trie levels.
-Each plan node is compiled straight from these records into what its first
-subatom iterates -- the row offsets of a leaf (a scan walks a range leaf
-over every row), or the key paths of one or more trie levels -- and a flat
-tuple of probes.  At run time every node runs the same iterate-then-probe
-loop: per item it binds the first subatom's variables, then descends each
-probe's trie levels (a dict lookup, or ``bisect`` on a sorted dictionary)
-and recurses into the next node when all hit.  Bindings accumulate down the
-node list; reaching the end of the plan emits one satisfying assignment
-with a multiplicity.  Every counter of the run loop (probes, hits,
-comparisons, intermediates, outputs and min operations) is a local int added
-to ``ExecStats`` once per execution, and the build counters are added once
-per trie; a sorted lookup over k keys counts ``k.bit_length()`` comparisons.
+dictionaries need one), the trie root, the leaf spec, the dictionary kind
+and how many subatoms descend trie levels.  Each plan node is compiled
+straight from these records into what its first subatom iterates -- the row
+offsets of a leaf (a scan walks a range leaf over every row), or the key
+paths of one or more trie levels -- and a flat tuple of probes.
+
+Every node runs the same iterate-then-probe step over a batch of rows, in
+C-level passes over columns (``map``, ``compress``, ``chain``), as in
+vectorized execution (MonetDB/X100).  A batch holds a column per bound
+variable, one per trie node a later subatom starts from, and a multiplicity
+column.  The first subatom expands each row by what it iterates, repeating
+the carried columns; each probe level is one lookup per row (a dict ``get``,
+or ``bisect`` on a sorted dictionary), and rows that miss are dropped before
+the next level.  An expansion is cut into batches of at most ``BATCH`` rows,
+each run through the rest of the plan before the next: the rows held per
+node stay bounded however far a join fans out, and results arrive in the
+order a row-at-a-time nested loop emits them.  ``count`` sums a batch's
+multiplicities, ``min`` takes a per-column minimum, and a full result adds
+the batch's rows to its bag.  Every run counter (probes, hits, comparisons,
+intermediates, outputs and min operations) is a local int added to
+``ExecStats`` once per execution, and counts what a row-at-a-time loop
+would, whatever the batch size.  The build counters are added once per
+trie; a sorted lookup over k keys counts ``k.bit_length()`` comparisons.
 
 Optimization toggles:
 
@@ -49,8 +58,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import is_not, itemgetter, methodcaller, mul
 
 from .errors import ExecutionError
 from .oracle import nested_loop
@@ -76,6 +85,7 @@ from .trie import (
     LEAF_VEC,
     SORTED,
     LeafSpec,
+    SortedDict,
     build_trie,
     key_paths,
     leaf_offsets,
@@ -86,6 +96,10 @@ from .trie import _MISSING
 POLICY_HASH = "hash"
 POLICY_SORTED = "sorted"
 POLICY_HYBRID = "hybrid"
+
+# Rows per batch: each plan node runs over at most this many rows at once,
+# so the rows held per node stay bounded however far a join fans out.
+BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -335,12 +349,12 @@ def execute(
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return _result(agg, out_vars), stats
-    # One access record per atom: (relation, slots, leaf spec, is_sorted,
-    # keyed parts).  The first ``keyed`` parts descend trie levels; a last
-    # part that a node iterates first walks the leaf offsets (a scan walks a
-    # range leaf over every row).  ``slots[i]`` is the trie node part ``i``
-    # starts from: the root for ``i == 0``, else the node part ``i - 1``
-    # reached.
+    # One access record per atom: (relation, root, leaf spec, is_sorted,
+    # keyed parts, parts).  The first ``keyed`` parts descend trie levels; a
+    # last part that a node iterates first walks the leaf offsets (a scan
+    # walks a range leaf over every row).  Part 0 starts from ``root``; part
+    # ``i`` from the trie node part ``i - 1`` reached, which the batch holds
+    # as the column ``(atom, i)``.
     access = {}
     for name in sorted({s.relation for node in working.nodes for s in node}):
         subs = working.subatoms_of(name)
@@ -360,40 +374,39 @@ def execute(
             root, is_sorted = trie.root, dict_kind == SORTED
         else:
             root, spec, is_sorted = range(rel.size), LeafSpec(LEAF_RANGE), False
-        access[name] = (rel, [root] + [None] * len(subs), spec, is_sorted, keyed)
+        access[name] = (rel, root, spec, is_sorted, keyed, len(subs))
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
-    # Compile each node into (leaf spec, slots, part index, bind, weights,
-    # probes).  The spec is set when the first subatom walks leaf offsets,
-    # and bind is then (var, column) pairs; else it walks trie keys and bind
-    # is its variable, or its variables when it spans several levels.  A
-    # probe is (slots, part index, levels, leaf spec or None): it descends
-    # ``levels`` from ``slots[idx]`` into ``slots[idx + 1]``, where a single
-    # hash level is just its variable and any other is (var, is_sorted)
-    # pairs; the spec is set for an atom's final, probe-only part, whose
-    # group size multiplies.
+    # Compile each node into (leaf spec, start, root, bind, weights, child,
+    # probes).  ``start`` is the column of trie nodes the first subatom
+    # starts from, or None when it starts from ``root``.  The spec is set
+    # when the first subatom walks leaf offsets, and bind is then (var,
+    # column) pairs; else it walks the trie keys of its variables ``bind``,
+    # one level each, and the nodes it reaches form the column ``child``.  A
+    # probe is (start, root, vars, is_sorted, leaf spec or None, child): it
+    # descends one level per variable; the spec is set for an atom's final,
+    # probe-only part, whose group size multiplies, and else the nodes it
+    # reaches form the column ``child``.
     part = dict.fromkeys(access, 0)  # atom -> index of its next part
     nodes = []
     for node in working.nodes:
         probes = []
         for pos, sub in enumerate(node):
-            rel, slots, spec, is_sorted, keyed = access[sub.relation]
-            idx = part[sub.relation]
-            part[sub.relation] += 1
+            name = sub.relation
+            rel, root, spec, is_sorted, keyed, parts = access[name]
+            idx = part[name]
+            part[name] += 1
+            start = (name, idx) if idx else None
+            child = (name, idx + 1)
             if pos:
-                if is_sorted or len(sub.vars) != 1:
-                    levels = tuple((v, is_sorted) for v in sub.vars)
-                else:
-                    levels = sub.vars[0]
-                final = idx + 2 == len(slots)  # the atom's last part
-                probes.append((slots, idx, levels, spec if final else None))
+                final = idx + 1 == parts
+                probes.append((start, root, sub.vars, is_sorted, spec if final else None, child))
             elif idx == keyed:  # bind from the rows at each offset
                 cols = rel.columns
-                bind = tuple((v, cols[var_attr[(sub.relation, v)]]) for v in sub.vars)
-                first = (spec, slots, idx, bind, rel.weights)
+                bind = tuple((v, cols[var_attr[(name, v)]]) for v in sub.vars)
+                first = (spec, start, root, bind, rel.weights, None)
             else:
-                bind = sub.vars[0] if len(sub.vars) == 1 else sub.vars
-                first = (None, slots, idx, bind, None)
+                first = (None, start, root, sub.vars, None, child)
         nodes.append(first + (tuple(probes),))
 
     # A trailing run of single-subatom nodes whose iterator is terminal
@@ -402,131 +415,142 @@ def execute(
     suffix_start = len(nodes)
     if opts.o5 and agg.kind in (AGG_COUNT, AGG_MIN):
         while suffix_start > 0:
-            spec, _, _, _, _, probes = nodes[suffix_start - 1]
+            spec, _, _, _, _, _, probes = nodes[suffix_start - 1]
             if probes or spec is None:
                 break
             suffix_start -= 1
+    tail = nodes[suffix_start:]
+
+    # The columns that node ``ni``'s probes, a later node or the result
+    # read: an expansion carries only those of its batch.
+    live = set(out_vars).union(start for _, start, _, _, _, _, _ in tail)
+    needed = [None] * suffix_start
+    for ni in range(suffix_start - 1, -1, -1):
+        _, start, _, _, _, _, probes = nodes[ni]
+        needed[ni] = live = live | {key for p in probes for key in (p[0], *p[2])}
+        live = live | {start}
 
     n_probes = n_hits = n_comps = n_inter = n_out = n_min = 0
-    binding: dict[str, object] = {}
     bag: dict[tuple, int] = {}
     count = 0
     minima: list | None = None
-    if len(out_vars) > 1:
-        out_key = itemgetter(*out_vars)
-    else:  # itemgetter of one name returns the bare value, of none fails
-        out_key = lambda b: tuple(b[v] for v in out_vars)
 
-    def fold_min(vals):
-        nonlocal minima, n_min
-        if minima is None:
-            minima = vals
-        else:
-            minima = [m if m <= x else x for m, x in zip(minima, vals)]
-        n_min += len(out_vars)
+    def probe(batch, mults, probes):
+        """Run ``probes`` in order over a batch: each level is one lookup
+        per row, and a row that misses is dropped before the next.  Stores
+        the trie nodes reached in the batch and returns the multiplicities
+        times the probe-only group sizes, or None when no row is left."""
+        nonlocal n_probes, n_hits, n_comps
+        for start, root, pvars, is_sorted, spec, child in probes:
+            node = repeat(root) if start is None else batch[start]
+            for v in pvars:
+                n = len(mults)
+                n_probes += n
+                if is_sorted:
+                    found = list(map(SortedDict.find, node, batch[v]))
+                    n_comps += sum(map(itemgetter(1), found))
+                    node = list(map(itemgetter(0), found))
+                else:
+                    node = list(map(dict.get, node, batch[v], repeat(_MISSING)))
+                miss = node.count(_MISSING)
+                n_hits += n - miss
+                if miss == n:
+                    return None
+                if miss:
+                    keep = list(map(is_not, node, repeat(_MISSING)))
+                    for key, col in batch.items():
+                        batch[key] = list(compress(col, keep))
+                    mults = list(compress(mults, keep))
+                    node = list(compress(node, keep))
+            if spec is None:
+                batch[child] = node
+            else:
+                mults = list(map(mul, mults, map(leaf_size, node, repeat(spec))))
+        return mults
 
-    def emit(mult: int):
-        nonlocal count, n_out
-        n_out += mult
-        if agg.kind == AGG_COUNT:
-            count += mult
-        elif agg.kind == AGG_MIN:
-            fold_min([binding[v] for v in out_vars])
-        else:
-            key = out_key(binding)
-            bag[key] = bag.get(key, 0) + mult
-
-    def finish_factorized(mult: int):
-        nonlocal count, n_out, n_min
-        total = mult
-        branches = []
-        for spec, slots, idx, bind, weights, _ in nodes[suffix_start:]:
-            offsets = leaf_offsets(slots[idx], spec)
-            if not offsets:
-                return
-            branches.append((offsets, bind))
-            total *= len(offsets) if weights is None else sum(map(weights.__getitem__, offsets))
+    def finish(batch, mults):
+        """Fold a batch of satisfying rows into the result.  The factorized
+        tail multiplies each row by its leaves' sizes (or weights) and, for
+        ``min``, folds in each leaf's least value instead of walking it."""
+        nonlocal count, minima, n_out, n_min
+        least = {}
+        for spec, start, root, bind, weights, _, _ in tail:
+            starts = [root] * len(mults) if start is None else batch[start]
+            groups = list(map(leaf_offsets, starts, repeat(spec)))
+            if weights is None:
+                sizes = map(len, groups)
+            else:
+                sizes = [sum(map(weights.__getitem__, g)) for g in groups]
+            mults = list(map(mul, mults, sizes))
+            if agg.kind == AGG_MIN:
+                for v, col in bind:
+                    if v in out_vars:
+                        least[v] = min(map(col.__getitem__, chain.from_iterable(groups)))
+                        n_min += sum(map(len, groups))
+        total = sum(mults)
         n_out += total
         if agg.kind == AGG_COUNT:
             count += total
-            return
-        branch_min: dict[str, object] = {}
-        for offsets, bind in branches:
-            for v, col in bind:
-                if v in out_vars:
-                    branch_min[v] = min(col[off] for off in offsets)
-                    n_min += len(offsets)
-        fold_min([branch_min[v] if v in branch_min else binding[v] for v in out_vars])
-
-    finish = finish_factorized if suffix_start < len(nodes) else emit
-
-    def run(ni: int, mult: int):
-        """Iterate node ``ni``'s first subatom: a leaf's row offsets, or the
-        (key, child) pairs of one trie level or the (key path, child) pairs
-        of several.  Per item, bind its variables, probe the other subatoms
-        in order and, if all hit, recurse with the product of the row's
-        weight and the probe-only group sizes."""
-        nonlocal n_probes, n_hits, n_comps, n_inter
-        if ni == suffix_start:
-            finish(mult)
-            return
-        leaf, slots, idx, bind, weights, probes = nodes[ni]
-        node = slots[idx]
-        if leaf is not None:
-            items = leaf_offsets(node, leaf)
-            size = len(items)
-        elif bind.__class__ is str:
-            items, size = node.items(), len(node)
+        elif agg.kind == AGG_MIN:
+            vals = [least[v] if v in least else min(batch[v]) for v in out_vars]
+            minima = vals if minima is None else list(map(min, minima, vals))
+            n_min += len(out_vars) * len(mults)
         else:
-            items = key_paths(node, len(bind))
-            size = len(items)
+            rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat(())
+            get = bag.get
+            for row, mult in zip(rows, mults):
+                bag[row] = get(row, 0) + mult
+
+    def run(ni: int, batch: dict, mults: list):
+        """Expand a batch by node ``ni``'s first subatom -- each row by its
+        leaf's row offsets, or by the (key, child) pairs of one trie level or
+        the (key path, child) pairs of several -- then probe the other
+        subatoms and recurse, at most ``BATCH`` rows at a time and in row
+        order."""
+        nonlocal n_inter
+        if ni == suffix_start:
+            finish(batch, mults)
+            return
+        spec, start, root, bind, weights, child, probes = nodes[ni]
+        starts = [root] * len(mults) if start is None else batch[start]
+        if spec is not None:
+            groups = list(map(leaf_offsets, starts, repeat(spec)))
+            items = chain.from_iterable(groups)
+        elif len(bind) == 1:
+            groups = starts
+            items = chain.from_iterable(map(methodcaller("items"), starts))
+        else:
+            groups = list(map(key_paths, starts, repeat(len(bind))))
+            items = chain.from_iterable(groups)
+        sizes = list(map(len, groups))
+        total = sum(sizes)
         if ni:
-            n_inter += size
-        out = idx + 1
-        for item in items:
-            m = mult
-            if leaf is None:
-                key, slots[out] = item
-                if bind.__class__ is str:
-                    binding[bind] = key
-                else:
-                    for v, k in zip(bind, key):
-                        binding[v] = k
-            else:
+            n_inter += total
+        carried = [(key, chain.from_iterable(map(repeat, col, sizes)))
+                   for key, col in batch.items() if key in needed[ni]]
+        mults = chain.from_iterable(map(repeat, mults, sizes))
+        size = BATCH
+        for _ in range(0, total, size):
+            chunk = list(islice(items, size))
+            out = {key: list(islice(col, size)) for key, col in carried}
+            out_mults = list(islice(mults, size))
+            if spec is not None:
                 for v, col in bind:
-                    binding[v] = col[item]
+                    out[v] = list(map(col.__getitem__, chunk))
                 if weights is not None:
-                    m *= weights[item]
-            for pslots, pidx, levels, spec in probes:
-                node = pslots[pidx]
-                if levels.__class__ is str:  # one hash level, the common case
-                    n_probes += 1
-                    node = node.get(binding[levels], _MISSING)
-                    if node is _MISSING:
-                        break
-                    n_hits += 1
-                else:
-                    for v, is_sorted in levels:
-                        key = binding[v]
-                        n_probes += 1
-                        if is_sorted:
-                            node, comps = node.find(key)
-                            n_comps += comps
-                        else:
-                            node = node.get(key, _MISSING)
-                        if node is _MISSING:
-                            break
-                        n_hits += 1
-                    if node is _MISSING:
-                        break
-                pslots[pidx + 1] = node
-                if spec is not None:
-                    m *= leaf_size(node, spec)
+                    out_mults = list(map(mul, out_mults, map(weights.__getitem__, chunk)))
             else:
-                run(ni + 1, m)
+                keys, out[child] = zip(*chunk)
+                if len(bind) == 1:
+                    out[bind[0]] = keys
+                else:
+                    out.update(zip(bind, zip(*keys)))
+            out_mults = probe(out, out_mults, probes)
+            if out_mults is not None:
+                run(ni + 1, out, out_mults)
 
     t1 = time.perf_counter()
-    run(0, multiplier)
+    run(0, {}, [multiplier])
     stats.exec_ms += (time.perf_counter() - t1) * 1000.0
     stats.probes += n_probes
     stats.probe_hits += n_hits

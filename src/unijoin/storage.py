@@ -88,6 +88,10 @@ class Relation:
             unknown = set(self.sorted_by) - set(self.attrs)
             if unknown:
                 raise SchemaError(f"relation {self.name}: sorted_by names unknown attrs {unknown}")
+            if len(set(self.sorted_by)) != len(self.sorted_by):
+                raise SchemaError(
+                    f"relation {self.name}: sorted_by names an attribute twice {self.sorted_by}"
+                )
             self._check_sorted()
 
     def _check_sorted(self) -> None:

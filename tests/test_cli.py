@@ -185,8 +185,10 @@ class TestRun:
              "relation S: sorted_by names unknown attrs {''}"),
             ("S s.csv a:int,b:int sorted_by=a", "10,7\n2,9\n",
              "relation S: sortedness over ('a',) violated at row 1"),
+            ("S s.csv a:int,b:int sorted_by=a,a", "10,7\n",
+             "relation S: sorted_by names an attribute twice ('a', 'a')"),
         ],
-        ids=["kind", "empty_attr", "sorted_by", "sortedness"],
+        ids=["kind", "empty_attr", "sorted_by", "sortedness", "dup_sorted_by"],
     )
     def test_catalog_error_names_catalog_line(self, workspace, capsys, line, csv, message):
         (workspace / "s.csv").write_text(csv)

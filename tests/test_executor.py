@@ -197,7 +197,12 @@ class TestLoopShapes:
 class TestPinnedCounters:
     """Every non-timing counter on small fixed instances.  They follow from
     the plan, the policy and the data alone, so a rewrite of the interpreter
-    loop or of the access decisions must reproduce them exactly."""
+    loop or of the access decisions must reproduce them exactly.  Each cell
+    runs at the engine's batch size and at batches of 1 and 3 rows, where
+    the n=40 triangle's 20-row hub fan spans several batches: no counter may
+    depend on where a batch splits."""
+
+    BATCHES = (executor.BATCH, 1, 3)
 
     COUNTERS = (
         "probes",
@@ -224,14 +229,20 @@ class TestPinnedCounters:
         return tuple(getattr(s, name) for name in self.COUNTERS)
 
     @pytest.mark.parametrize("plan_name,policy", sorted(EXPECTED))
-    def test_counters(self, plan_name, policy):
+    def test_counters(self, plan_name, policy, monkeypatch):
         q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
         rels = {r.name: r for r in gen_adversarial_triangle(40)}
         plan = convert_left_deep(q, ("R", "S", "T"))
         if plan_name == "gj":
             plan = optimize_plan(q, plan, MODE_GENERIC_JOIN)
-        _, s = execute(q, plan, rels, agg, StructurePolicy(policy))
-        assert self.got(s) == self.EXPECTED[(plan_name, policy)]
+        results = []
+        for batch in self.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
+            assert self.got(s) == self.EXPECTED[(plan_name, policy)], batch
+            results.append(result.tuples)
+        assert results[0] == nested_loop(q, rels, agg)
+        assert all(list(r.items()) == list(results[0].items()) for r in results)
 
     # policy -> (count, COUNTERS); the same with O5 on and off
     BUSHY_CYCLE4 = {
@@ -242,7 +253,7 @@ class TestPinnedCounters:
 
     @pytest.mark.parametrize("o5", (True, False))
     @pytest.mark.parametrize("policy", sorted(BUSHY_CYCLE4))
-    def test_weighted_bushy_cycle4_count(self, policy, o5):
+    def test_weighted_bushy_cycle4_count(self, policy, o5, monkeypatch):
         q, agg = parse_query("Q(COUNT) :- R(a,b), S(b,c), T(c,d), U(d,a)")
         tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
         rows = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]
@@ -253,10 +264,14 @@ class TestPinnedCounters:
             )
             for k, name in enumerate("RSTU")
         }
-        result, s = execute_bushy(q, tree, rels, agg, StructurePolicy(policy), OptConfig(o5=o5))
-        assert (result.count, self.got(s)) == self.BUSHY_CYCLE4[policy]
+        for batch in self.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            result, s = execute_bushy(
+                q, tree, rels, agg, StructurePolicy(policy), OptConfig(o5=o5)
+            )
+            assert (result.count, self.got(s)) == self.BUSHY_CYCLE4[policy], batch
+            assert s.deep_intermediate_tries == 1
         assert result.count == nested_loop(q, rels, agg)
-        assert s.deep_intermediate_tries == 1
 
     # policy -> COUNTERS; sorted re-sorts R, which declares no order
     KEY_WALK = {
@@ -266,7 +281,7 @@ class TestPinnedCounters:
     }
 
     @pytest.mark.parametrize("policy", sorted(KEY_WALK))
-    def test_multi_variable_key_walk(self, policy):
+    def test_multi_variable_key_walk(self, policy, monkeypatch):
         # The root walks R's and S's key paths over (a, b) together.
         q, agg = parse_query("Q(a,b,c) :- R(a,b,c), S(a,b)")
         rels = {
@@ -276,9 +291,11 @@ class TestPinnedCounters:
             "S": rel("S", ("a", "b"), [(0, 0), (1, 1), (1, 1), (2, 3)]),
         }
         plan = parse_plan("R(a,b), S(a,b)\nR(c)")
-        result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
-        assert self.got(s) == self.KEY_WALK[policy]
-        assert result.matches_reference(nested_loop(q, rels, agg))
+        for batch in self.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
+            assert self.got(s) == self.KEY_WALK[policy], batch
+            assert result.matches_reference(nested_loop(q, rels, agg)), batch
 
 
 class TestToggles:

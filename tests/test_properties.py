@@ -1,11 +1,13 @@
 """Property-based checks over randomly generated inputs."""
 
 from itertools import compress
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
+from unijoin import executor
 from unijoin.cli import main
 from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.oracle import nested_loop
@@ -327,6 +329,10 @@ STRATEGIES = tuple(
 FLAT_STRATEGIES = STRATEGIES + tuple(
     (StructurePolicy(policy), OptConfig(o3=False)) for policy in ("hash", "sorted", "hybrid")
 )
+# The engine's own batch size, then batches of one and two rows, so a plan
+# runs with every batch boundary crossed.  Patched inside each test body: a
+# function-scoped fixture would be shared by every Hypothesis example.
+BATCHES = (executor.BATCH, 1, 2)
 
 
 @st.composite
@@ -348,11 +354,13 @@ def test_random_plans_match_reference(case):
     assert nested_loop(q, rels, agg) == reference
     # The plan as drawn, and its hoisted-probe rewrite.
     for run_plan in (plan, optimize_plan(q, plan, MODE_FREEJOIN)):
-        for policy, opts in FLAT_STRATEGIES:
-            result, _ = execute(q, run_plan, rels, agg, policy, opts)
-            assert result.matches_reference(reference), (
-                policy.mode, opts.label(), str(run_plan)
-            )
+        for batch in BATCHES:
+            with mock.patch.object(executor, "BATCH", batch):
+                for policy, opts in FLAT_STRATEGIES:
+                    result, _ = execute(q, run_plan, rels, agg, policy, opts)
+                    assert result.matches_reference(reference), (
+                        policy.mode, opts.label(), batch, str(run_plan)
+                    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,9 +374,13 @@ def test_generic_join_plans_match_reference(data):
     rels = data.draw(fuzz_relations(schema, small=small))
     plan = data.draw(fuzz_gj_plan(q))
     reference = nested_loop(q, _expanded(rels), agg)
-    for policy, opts in STRATEGIES:
-        result, _ = execute(q, plan, rels, agg, policy, opts)
-        assert result.matches_reference(reference), (policy.mode, opts.label(), str(plan))
+    for batch in BATCHES:
+        with mock.patch.object(executor, "BATCH", batch):
+            for policy, opts in STRATEGIES:
+                result, _ = execute(q, plan, rels, agg, policy, opts)
+                assert result.matches_reference(reference), (
+                    policy.mode, opts.label(), batch, str(plan)
+                )
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,9 +396,13 @@ def test_random_bushy_trees_match_reference(data):
     tree = data.draw(fuzz_tree(list(queries[0][0].atoms)))
     for q, agg in queries:
         reference = nested_loop(q, _expanded(rels), agg)
-        for policy, opts in STRATEGIES:
-            result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
-            assert result.matches_reference(reference), (policy.mode, opts.label(), agg)
+        for batch in BATCHES:
+            with mock.patch.object(executor, "BATCH", batch):
+                for policy, opts in STRATEGIES:
+                    result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
+                    assert result.matches_reference(reference), (
+                        policy.mode, opts.label(), batch, agg
+                    )
 
 
 @settings(

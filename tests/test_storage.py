@@ -70,6 +70,11 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation.from_rows("R", ("a",), [(1,)], sorted_by=("z",))
 
+    def test_sorted_by_repeated_attr(self):
+        # The rows are sorted by a, so only the repeat itself is refused.
+        with pytest.raises(SchemaError, match="sorted_by names an attribute twice"):
+            Relation.from_rows("R", ("a", "b"), [(1, 2), (3, 4)], sorted_by=("a", "a"))
+
     def test_sorted_copy(self):
         rel = Relation.from_rows("R", ("a", "b"), [(2, 1), (1, 3), (1, 2)])
         out = rel.sorted_copy(("a",))
