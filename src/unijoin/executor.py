@@ -314,7 +314,7 @@ def execute(
                 f"{atom.relation} arity {len(relations[atom.relation].attrs)}"
             )
 
-    out_vars = agg.output(q.head)
+    out_vars = agg.output(q)
 
     # An empty relation anywhere empties a conjunctive join.
     if any(relations[a.relation].size == 0 for a in q.atoms):

@@ -52,7 +52,7 @@ def nested_loop(
                 f"oracle: cross product exceeds budget of {budget} rows"
             )
 
-    proj = agg.output(q.head)
+    proj = agg.output(q)
 
     bag: dict[tuple, int] = {}
     count = 0

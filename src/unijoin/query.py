@@ -55,12 +55,21 @@ class AggregationSpec:
     kind: str = AGG_FULL
     vars: tuple[str, ...] = ()
 
-    def output(self, head: tuple[str, ...]) -> tuple[str, ...]:
-        """The variables a result over a query with ``head`` reports, each
-        once: none under ``count``, else ``vars`` or, if empty, ``head``."""
+    def __post_init__(self):
+        if self.kind not in (AGG_FULL, AGG_COUNT, AGG_MIN):
+            raise QueryError(f"unknown aggregate kind {self.kind!r}")
+
+    def output(self, q: "ConjunctiveQuery") -> tuple[str, ...]:
+        """The variables a result over ``q`` reports, each once: none under
+        ``count``, else ``vars`` or, if empty, the head.  Every variable in
+        ``vars`` must occur in ``q``'s body."""
+        body = q.variables()
+        for v in self.vars:
+            if v not in body:
+                raise QueryError(f"aggregate variable {v!r} does not appear in the body")
         if self.kind == AGG_COUNT:
             return ()
-        return tuple(dict.fromkeys(self.vars or head))
+        return tuple(dict.fromkeys(self.vars or q.head))
 
 
 @dataclass(frozen=True)
@@ -128,43 +137,50 @@ class BushyPlan:
                 out.append(side)
         return out
 
-
-_ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*")
-
-
-def _parse_atom_text(text: str, what: str):
-    m = _ATOM_RE.fullmatch(text)
-    if m is None:
-        raise QueryError(f"cannot parse {what}: {text!r}")
-    name = m.group(1)
-    args = [v.strip() for v in m.group(2).split(",")] if m.group(2).strip() else []
-    for v in args:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
-            raise QueryError(f"bad variable name {v!r} in {what}: {text!r}")
-    return name, tuple(args)
+    def __str__(self):
+        return f"({self.left} {self.right})"
 
 
-def _split_atoms(body: str):
-    """Split on commas that are not inside parentheses.
+# One token of the plan language, with the blanks around it: an atom
+# ``name(v1,...)``, a parenthesis or a comma.  Any other text is junk, read
+# up to the next blank.
+_TOKEN_RE = re.compile(
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)|([(),])|(\S+))\s*"
+)
 
-    An empty part, between, before or after the commas (``R(a),,S(a)``,
-    ``,R(a)``, ``R(a),``), is a ``QueryError``.
-    """
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts = [p.strip() for p in parts + ["".join(cur)]]
-    if "" in parts:
-        raise QueryError(f"empty atom in {body.strip()!r}")
-    return parts
+
+def _tokens(text: str, what: str, error):
+    """``text`` as tokens: a (name, argument text) pair per atom, which
+    ``_read_atom`` reads, else the character itself.  Junk raises ``error``."""
+    tokens = []
+    for name, args, punct, junk in _TOKEN_RE.findall(text):
+        if junk:
+            raise error(f"unexpected text {junk!r} in {what}")
+        tokens.append(punct or (name, args))
+    return tokens
+
+
+def _read_atom(name: str, args: str):
+    """(relation, variables) of an atom token, each variable a name."""
+    vars_ = tuple(v.strip() for v in args.split(",")) if args.strip() else ()
+    for v in vars_:
+        if not (v.isascii() and v.isidentifier()):
+            raise QueryError(f"bad variable name {v!r} in atom {name}({args})")
+    return name, vars_
+
+
+def _atom_list(text: str, what: str):
+    """The (relation, variables) pairs of ``atom, atom, ...``: a query body
+    or a plan line."""
+    tokens = _tokens(text, what, QueryError)
+    for i, tok in enumerate(tokens):
+        if tok == "," and (i % 2 == 0 or i == len(tokens) - 1):
+            raise QueryError(f"empty atom in {text.strip()!r}")
+        if tok in ("(", ")"):
+            raise QueryError(f"unexpected {tok!r} in {what}")
+        if i % 2 and tok != ",":
+            raise QueryError(f"missing ',' between atoms in {text.strip()!r}")
+    return [_read_atom(*tok) for tok in tokens[::2]]
 
 
 def parse_query(text: str):
@@ -185,35 +201,23 @@ def parse_query(text: str):
 
     if not body_text.strip():
         raise QueryError("query body is empty")
-    atoms = []
-    for atom_text in _split_atoms(body_text):
-        name, vars_ = _parse_atom_text(atom_text, "atom")
-        atoms.append(Atom(name, vars_))
+    atoms = tuple(Atom(name, vars_) for name, vars_ in _atom_list(body_text, "query body"))
+    body = tuple(dict.fromkeys(v for a in atoms for v in a.vars))
 
-    body_vars_order = []
-    for a in atoms:
-        for v in a.vars:
-            if v not in body_vars_order:
-                body_vars_order.append(v)
-
-    if head_args.upper() == "COUNT" and "," not in head_args:
-        agg = AggregationSpec(AGG_COUNT, ())
-        head = tuple(body_vars_order)
-    elif re.match(r"MIN\s*\(", head_args, re.IGNORECASE):
-        m = re.fullmatch(r"MIN\s*\(([^()]*)\)", head_args, re.IGNORECASE)
-        if m is None:
+    if head_args.upper() == "COUNT":
+        return ConjunctiveQuery(body, atoms), AggregationSpec(AGG_COUNT)
+    func, paren, _ = head_args.partition("(")
+    if paren and func.rstrip().upper() == "MIN":
+        tokens = _tokens(head_args, "MIN head", QueryError)
+        if len(tokens) != 1 or isinstance(tokens[0], str) or not tokens[0][1].strip():
             raise QueryError(f"cannot parse MIN head: {head_args!r}")
-        vars_ = tuple(v.strip() for v in m.group(1).split(","))
-        agg = AggregationSpec(AGG_MIN, vars_)
-        head = tuple(body_vars_order)
-        for v in vars_:
-            if v not in head:
-                raise QueryError(f"aggregate variable {v!r} does not appear in the body")
-    else:
-        head = tuple(v.strip() for v in head_args.split(",")) if head_args else ()
-        # A non-full plain head is a bag projection onto the listed variables.
-        agg = AggregationSpec(AGG_FULL, head)
-    return ConjunctiveQuery(head, tuple(atoms)), agg
+        q = ConjunctiveQuery(body, atoms)
+        agg = AggregationSpec(AGG_MIN, _read_atom(*tokens[0])[1])
+        agg.output(q)  # refuses a variable outside the body
+        return q, agg
+    head = tuple(v.strip() for v in head_args.split(",")) if head_args else ()
+    # A non-full plain head is a bag projection onto the listed variables.
+    return ConjunctiveQuery(head, atoms), AggregationSpec(AGG_FULL, head)
 
 
 def parse_plan(text: str) -> FreeJoinPlan:
@@ -221,13 +225,8 @@ def parse_plan(text: str) -> FreeJoinPlan:
     nodes = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        subs = []
-        for sub_text in _split_atoms(line):
-            name, vars_ = _parse_atom_text(sub_text, "subatom")
-            subs.append(Subatom(name, vars_))
-        nodes.append(tuple(subs))
+        if line and not line.startswith("#"):
+            nodes.append(tuple(Subatom(*sub) for sub in _atom_list(line, "plan line")))
     return FreeJoinPlan(tuple(nodes))
 
 
@@ -432,9 +431,16 @@ def decompose_bushy(
     above it: those joined outside the subtree, and those in the output
     (``agg.output``, so the every-variable head ``parse_query`` gives
     ``COUNT`` and ``MIN`` keeps nothing alive).  The root stage's head is
-    the output.  Intermediates carry no sort order.
+    the output.  Intermediates carry no sort order.  The tree's leaves
+    must be the query's atoms, each once.
     """
-    out_vars = agg.output(q.head)
+    leaves = tree.leaves() if isinstance(tree, BushyPlan) else [tree]
+    if len(leaves) != len(q.atoms) or set(leaves) != set(q.atoms):
+        raise PlanError(
+            f"bushy tree leaves {', '.join(map(str, leaves))} are not the query's "
+            f"atoms {', '.join(map(str, q.atoms))}"
+        )
+    out_vars = agg.output(q)
     stages: list[PlanStage] = []
     counter = [0]
 
@@ -474,36 +480,30 @@ def decompose_bushy(
 
 
 def parse_bushy(text: str) -> "BushyPlan | Atom":
-    """Parse a parenthesized join tree: ``((R(a,b) S(b,c)) (T(c,d) U(d,a)))``."""
-    # Tokens sit at the odd positions of the split, the text between them
-    # at the even ones; that text must be blank.
-    parts = re.split(r"(\(|\)|[A-Za-z_][A-Za-z0-9_]*\([^()]*\))", text)
-    junk = "".join(parts[::2]).split()
-    if junk:
-        raise PlanError(f"unexpected text {junk[0]!r} in bushy plan")
-    tokens = parts[1::2]
-    pos = [0]
+    """Parse a join tree, an atom or ``(tree tree)``:
+    ``((R(a,b) S(b,c)) (T(c,d) U(d,a)))``."""
+    tokens = _tokens(text, "bushy plan", PlanError)
+    if "," in tokens:
+        raise PlanError("unexpected text ',' in bushy plan")
+    tokens = iter(tokens)
 
-    def parse() -> "BushyPlan | Atom":
-        if pos[0] >= len(tokens):
+    def tree() -> "BushyPlan | Atom":
+        tok = next(tokens, None)
+        if tok is None:
             raise PlanError("unexpected end of bushy plan")
-        tok = tokens[pos[0]]
         if tok == "(":
-            pos[0] += 1
-            left = parse()
-            right = parse()
-            if pos[0] >= len(tokens) or tokens[pos[0]] != ")":
+            node = BushyPlan(tree(), tree())
+            if next(tokens, None) != ")":
                 raise PlanError("expected ')' in bushy plan")
-            pos[0] += 1
-            return BushyPlan(left, right)
-        pos[0] += 1
-        name, vars_ = _parse_atom_text(tok, "bushy leaf")
-        return Atom(name, vars_)
+            return node
+        if isinstance(tok, str):
+            raise PlanError(f"unexpected {tok!r} in bushy plan")
+        return Atom(*_read_atom(*tok))
 
-    tree = parse()
-    if pos[0] != len(tokens):
+    out = tree()
+    if next(tokens, None) is not None:
         raise PlanError("trailing tokens in bushy plan")
-    return tree
+    return out
 
 
 @dataclass
@@ -524,7 +524,7 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
     already holds a subatom of one of their atoms, in which case the source
     is kept, dead variables and all.
     """
-    out_vars = set(agg.output(q.head))
+    out_vars = set(agg.output(q))
     var_atoms: dict[str, int] = {}
     for a in q.atoms:
         for v in a.vars:

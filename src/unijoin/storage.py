@@ -211,8 +211,6 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     for k in kinds:
         if k not in KINDS:
             raise SchemaError(f"unknown kind {k!r} in schema for {name}")
-    if len(set(attrs)) != len(attrs):
-        raise SchemaError(f"relation {name}: duplicate attribute names in schema")
     width = len(attrs)
     commas = {width - 1}
     cols = [[] for _ in attrs]
@@ -236,44 +234,49 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
 
 def _load_error(path, attrs, kinds) -> LoadError:
     """The error for the first bad line of a CSV file that ``load_csv``
-    could not convert: a wrong field count, a field that is not an int, or
-    bytes that are not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.rstrip("\n").split(",")
-                if len(fields) != len(attrs):
-                    return LoadError(
-                        f"{path}:{lineno}: expected {len(attrs)} fields, got {len(fields)}"
-                    )
-                for ci, (text, k) in enumerate(zip(fields, kinds)):
-                    if k == INT:
-                        try:
-                            int(text)
-                        except ValueError:
-                            return LoadError(
-                                f"{path}:{lineno}: column {ci + 1} ({attrs[ci]}): "
-                                f"{text!r} is not an integer"
-                            )
-    except UnicodeDecodeError:
-        return non_utf8_error(path)
-    # Reached only if the file changed after ``load_csv`` read it.
-    return LoadError(f"{path}: cannot be loaded")
+    could not convert: bytes that are not UTF-8, a wrong field count, or a
+    field that is not an int, checked in that order on each line."""
+
+    def check(line):
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != len(attrs):
+            return f"expected {len(attrs)} fields, got {len(fields)}"
+        for ci, (text, k) in enumerate(zip(fields, kinds)):
+            if k == INT:
+                try:
+                    int(text)
+                except ValueError:
+                    return f"column {ci + 1} ({attrs[ci]}): {text!r} is not an integer"
+        return None
+
+    # The fallback is reached only if the file changed after ``load_csv``
+    # read it.
+    return _first_bad_line(path, check) or LoadError(f"{path}: cannot be loaded")
 
 
 def non_utf8_error(path) -> LoadError:
     """The error for a text file that is not valid UTF-8, naming its first
     bad line (text files are decoded in blocks, so the decode error itself
-    does not say which line).  Lines are read in text mode, as every other
-    reader does, so a lone carriage return ends one too; each bad byte
-    decodes to a lone surrogate, which cannot be encoded back."""
+    does not say which line)."""
+    return _first_bad_line(path) or LoadError(f"{path}: not valid UTF-8")
+
+
+def _first_bad_line(path, check=None) -> LoadError | None:
+    """The error for the first line of a text file that is not valid UTF-8
+    or for which ``check`` returns a message; None if every line passes.
+    Lines are read in text mode, as every other reader does, so a lone
+    carriage return ends one too; each bad byte decodes to a lone
+    surrogate, which cannot be encoded back."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
                 return LoadError(f"{path}:{lineno}: not valid UTF-8")
-    return LoadError(f"{path}: not valid UTF-8")
+            message = check and check(line)
+            if message:
+                return LoadError(f"{path}:{lineno}: {message}")
+    return None
 
 
 _OPS = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}

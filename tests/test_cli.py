@@ -123,6 +123,21 @@ class TestRun:
         plan.write_text("R(x), S(y)\nS(z)\n")
         assert self.run(workspace, "--plan", f"file:{plan}") == 2
 
+    def test_plan_of_only_a_comment_exit_2(self, workspace, capsys):
+        plan = workspace / "empty.plan"
+        plan.write_text("# nothing to run\n")
+        assert self.run(workspace, "--plan", f"file:{plan}") == 2
+        assert capsys.readouterr().err == "error: plan has no nodes\n"
+
+    def test_limit_reports_the_rest(self, workspace, capsys):
+        (workspace / "r.csv").write_text("1,10\n2,10\n3,10\n4,10\n5,10\n")
+        (workspace / "query.txt").write_text("Q(x) :- R(x,y)\n")
+        assert self.run(workspace, "--limit", "1", "--stats", "none") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "result kind=full cardinality=5 total_multiplicity=5", "  (1)", "  ... 4 more"
+        ]
+
     def test_repeated_plan_variable_exit_2(self, workspace, capsys):
         plan = workspace / "bad.plan"
         plan.write_text("R(x,y), S(y)\nS(z,z)\n")
@@ -187,8 +202,13 @@ class TestRun:
              "relation S: sortedness over ('a',) violated at row 1"),
             ("S s.csv a:int,b:int sorted_by=a,a", "10,7\n",
              "relation S: sorted_by names an attribute twice ('a', 'a')"),
+            ("S s.csv", "10,7\n", "expected 3 or 4 fields, got 2"),
+            ("S s.csv a:int,b:int order=a", "10,7\n", "expected sorted_by=..., got 'order=a'"),
+            ("S s.csv a:int,a:int", "10,7\n",
+             "relation S: duplicate attribute names ('a', 'a')"),
         ],
-        ids=["kind", "empty_attr", "sorted_by", "sortedness", "dup_sorted_by"],
+        ids=["kind", "empty_attr", "sorted_by", "sortedness", "dup_sorted_by", "fields",
+             "fourth_field", "dup_attr"],
     )
     def test_catalog_error_names_catalog_line(self, workspace, capsys, line, csv, message):
         (workspace / "s.csv").write_text(csv)
@@ -238,6 +258,7 @@ BAD_FLAGS = (
     ("--opts", "O9"),
     ("--dicts", "bogus"),
     ("--dicts", "explicit"),
+    ("--plan", "foo"),
 )
 
 

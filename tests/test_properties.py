@@ -1,8 +1,10 @@
 """Property-based checks over randomly generated inputs."""
 
+import re
 from itertools import compress
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +12,20 @@ from conftest import CORPUS
 from unijoin import executor
 from unijoin.cli import main
 from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
+from unijoin.errors import PlanError
 from unijoin.oracle import nested_loop
 from unijoin.query import (
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
+    Atom,
     BushyPlan,
     FreeJoinPlan,
     Subatom,
     convert_left_deep,
+    decompose_bushy,
     optimize_plan,
+    parse_bushy,
+    parse_plan,
     parse_query,
     plan_violation,
 )
@@ -319,6 +326,63 @@ def fuzz_tree(draw, atoms):
             splits.append((left, right))
     left, right = draw(st.sampled_from(splits))
     return BushyPlan(draw(fuzz_tree(left)), draw(fuzz_tree(right)))
+
+
+@st.composite
+def _spaced(draw, text):
+    """``text`` with 0-2 blanks drawn after each parenthesis, comma and
+    ``:-``, and after each run of text between them."""
+    pieces = re.split(r"(:-|[(),])", text)
+    return "".join(piece + draw(st.sampled_from(("", " ", "  ", "\t"))) for piece in pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_plan_language_round_trip(data):
+    # Query texts, plan files and bushy trees share one grammar, so blanks
+    # around any token change none of them.
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    text = data.draw(fuzz_query(schema))
+    q, agg = parse_query(text)
+    plan = data.draw(fuzz_plan(q))
+    tree = data.draw(fuzz_tree(list(q.atoms)))
+    assert parse_query(data.draw(_spaced(text))) == (q, agg)
+    assert parse_plan(data.draw(_spaced(str(plan)))) == plan
+    assert parse_bushy(data.draw(_spaced(str(tree)))) == tree
+
+
+def _swap_leaf(tree, leaf, new):
+    """``tree`` with ``leaf`` replaced by ``new``; a ``new`` of None drops
+    the leaf, and its sibling takes its parent's place."""
+    if tree == leaf:
+        return new
+    if not isinstance(tree, BushyPlan):
+        return tree
+    left, right = _swap_leaf(tree.left, leaf, new), _swap_leaf(tree.right, leaf, new)
+    if left is None or right is None:
+        return left or right
+    return BushyPlan(left, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tree_with_a_mutated_leaf_is_refused(data):
+    # A tree that is not the query once ran as another query, silently.
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    q, agg = parse_query(data.draw(fuzz_query(schema)))
+    tree = data.draw(fuzz_tree(list(q.atoms)))
+    leaf = data.draw(st.sampled_from(q.atoms))
+    other = data.draw(st.sampled_from([a for a in q.atoms if a != leaf]))
+    mutations = (
+        None,  # left out
+        BushyPlan(leaf, other),  # other twice
+        Atom(leaf.relation, leaf.vars[:-1] + ("zz",)),  # a variable renamed
+        Atom(leaf.relation, leaf.vars[1:] + leaf.vars[:1]),  # variables rotated
+        Atom("Z", leaf.vars),  # another relation
+    )
+    new = data.draw(st.sampled_from([m for m in mutations if m != leaf]))
+    with pytest.raises(PlanError, match="are not the query's atoms"):
+        decompose_bushy(q, _swap_leaf(tree, leaf, new), agg)
 
 
 STRATEGIES = tuple(

@@ -1,6 +1,7 @@
 """Query parsing, plan validation, and plan transformations."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from unijoin.oracle import nested_loop
 from unijoin.query import (
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
+    AggregationSpec,
     Atom,
     BushyPlan,
     ConjunctiveQuery,
+    FreeJoinPlan,
     Subatom,
     convert_left_deep,
     decompose_bushy,
@@ -47,8 +50,10 @@ class TestParseQuery:
         assert agg.kind == "min" and agg.vars == ("x", "y")
         q, agg = parse_query("Q(MIN (x, y)) :- R(x,y)")
         assert agg.kind == "min" and agg.vars == ("x", "y")
+        q, agg = parse_query("Q( min ( x ) ) :- R(x,y)")
+        assert agg.kind == "min" and agg.vars == ("x",)
 
-    @pytest.mark.parametrize("head", ["MIN(x", "MIN(x),y", "MIN(x) junk"])
+    @pytest.mark.parametrize("head", ["MIN(x", "MIN(x),y", "MIN(x) junk", "MIN()", "MIN(x),"])
     def test_malformed_min_head(self, head):
         # Each once crashed or ran silently as MIN(x).
         with pytest.raises(QueryError, match="MIN head"):
@@ -86,6 +91,21 @@ class TestParseQuery:
         with pytest.raises(QueryError):
             parse_query("Q(x) :- R(x,x)")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Q(a) :- R(a) S(a)", "missing ','"),
+            ("Q(a) :- R(a), (S(a))", "unexpected '('"),
+            ("Q(a) :- R(a), S(1)", "bad variable name '1'"),
+            ("Q(a,a) :- R(a)", "repeated variable in query head"),
+            ("Q a :- R(a)", "cannot parse query head"),
+            ("Q(a) :-  ", "query body is empty"),
+        ],
+    )
+    def test_refused(self, text, message):
+        with pytest.raises(QueryError, match=re.escape(message)):
+            parse_query(text)
+
 
 class TestPlanText:
     def test_round_trip(self):
@@ -103,6 +123,10 @@ class TestPlanText:
         # the empty part silently.
         with pytest.raises(QueryError, match="empty atom"):
             parse_plan(text)
+
+    def test_missing_comma_rejected(self):
+        with pytest.raises(QueryError, match="missing ','"):
+            parse_plan("R(x,a) S(x)")
 
 
 class TestValidatePlan:
@@ -158,6 +182,23 @@ class TestValidatePlan:
             self.q, parse_plan("R(x), S(x), T(x), R(a)\nS(b)")
         )
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (parse_plan("# a comment and nothing else\n"), "plan has no nodes"),
+            (FreeJoinPlan(((),)), "plan contains an empty node"),
+            (
+                parse_plan("R(x,a,z), S(x), T(x)\nS(b)"),
+                "subatom R(x,a,z): variables ['z'] not bound by the atom",
+            ),
+            (parse_plan("R(x,a), S(x)\nS(b)"), "atom T: no subatoms in plan"),
+        ],
+    )
+    def test_violation(self, plan, message):
+        assert plan_violation(self.q, plan) == message
+        with pytest.raises(PlanError, match=re.escape(message)):
+            validate_plan(self.q, plan)
+
 
 class TestGoldenPlans:
     """Pinned shapes for the three reference plans of the three-leaf query."""
@@ -188,6 +229,13 @@ class TestConvertLeftDeep:
         q, _ = parse_query("Q(a,b) :- R(a,b), S(b)")
         with pytest.raises(PlanError):
             convert_left_deep(q, ("R",))
+        with pytest.raises(QueryError, match="no atom over relation 'Z'"):
+            convert_left_deep(q, ("R", "Z"))
+
+    def test_unknown_optimize_mode(self):
+        q, _ = parse_query("Q(a,b) :- R(a,b), S(b)")
+        with pytest.raises(PlanError, match="unknown optimization mode 'bogus'"):
+            optimize_plan(q, convert_left_deep(q, ("R", "S")), "bogus")
 
     def test_all_orders_valid_on_corpus(self):
         """Every rotation of every corpus query converts to a valid plan or
@@ -264,11 +312,30 @@ class TestBushy:
         with pytest.raises(PlanError):
             parse_bushy("((R(a,b) S(b,c))")
 
+    def test_blank_before_an_atoms_parenthesis(self):
+        # Once "unexpected text 'R'": the tree's atoms differed from the
+        # body's and the plan line's, which allow the blank.
+        assert parse_bushy("(R (a,b) S(b,c))") == parse_bushy("(R(a,b) S(b,c))")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(R(a,b))", "unexpected ')'"),  # once a QueryError
+            ("(R(a) S(a) T(a))", "expected ')'"),
+            ("R(a) S(a)", "trailing tokens"),
+            ("((R(a) S(a))", "unexpected end"),
+        ],
+    )
+    def test_malformed_tree(self, text, message):
+        with pytest.raises(PlanError, match=re.escape(message)):
+            parse_bushy(text)
+
     @pytest.mark.parametrize(
         "text, junk",
         [
             ("((R(a,b) junk S(b,c)) (T(c,d) U(d,a)))", "junk"),
             ("((R(a,b) S(b,c)) (T(c,d) U(d,a)));drop", ";drop"),
+            ("(R(a,b), S(b,c))", ","),
         ],
     )
     def test_text_between_tokens_rejected(self, text, junk):
@@ -286,6 +353,40 @@ class TestBushy:
         assert [a.relation for a in inner.order] == ["T", "U"]
         assert root.target is None
         assert [a.relation for a in root.order] == ["R", "S", "_I1"]
+
+    def test_bare_atom_is_one_stage(self):
+        q, _ = parse_query("Q(a,b) :- R(a,b)")
+        (stage,) = decompose_bushy(q, parse_bushy("R(a,b)"))
+        assert (stage.target, stage.order, stage.out_vars) == (None, q.atoms, ("a", "b"))
+        with pytest.raises(PlanError, match="are not the query's atoms"):
+            decompose_bushy(q, Atom("R", ("b", "a")))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "((R(a,b) S(b,c)) (T(c,d) U(d,x)))",  # a variable renamed
+            "((R(a,b) S(b,c)) T(c,d))",  # U left out
+            "((R(a,b) S(b,c)) (T(c,d) (U(d,a) R(a,b))))",  # R twice
+            "((R(a,b) S(b,c)) (T(c,d) U(a,d)))",  # U's variables swapped
+        ],
+    )
+    def test_tree_must_be_the_query(self, text):
+        """Each tree once ran without an error, as a different query: the
+        counts were 104, 49, 130 and 42 where the query has 43."""
+        q, agg = parse_query("Q(COUNT) :- R(a,b), S(b,c), T(c,d), U(d,a)")
+        rng = random.Random(1)
+        rels = {
+            name: Relation.from_rows(
+                name, ("u", "v"), [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(8)]
+            )
+            for name in "RSTU"
+        }
+        assert nested_loop(q, rels, agg) == 43
+        tree = parse_bushy(text)
+        with pytest.raises(PlanError, match="are not the query's atoms"):
+            decompose_bushy(q, tree, agg)
+        with pytest.raises(PlanError, match="are not the query's atoms"):
+            execute_bushy(q, tree, rels, agg)
 
     def test_left_deep_tree_single_stage(self):
         q, _ = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
@@ -323,3 +424,39 @@ class TestBushy:
                 for policy in ("hash", "sorted", "hybrid"):
                     result, _ = execute_bushy(q, tree, rels, agg, StructurePolicy(policy))
                     assert result.matches_reference(reference)
+
+
+class TestAggregationSpec:
+    def test_unknown_kind(self):
+        # Once ran as a full result.
+        with pytest.raises(QueryError, match="unknown aggregate kind 'bogus'"):
+            AggregationSpec("bogus")
+
+    @pytest.mark.parametrize("kind", ["min", "full"])
+    def test_variable_outside_the_body(self, kind):
+        """Each once raised KeyError: 'zz' from ``execute`` and from
+        ``nested_loop``."""
+        q, _ = parse_query("Q(a) :- R(a,b), S(b)")
+        rels = {
+            "R": Relation.from_rows("R", ("u", "v"), [(1, 2), (3, 2)]),
+            "S": Relation.from_rows("S", ("u",), [(2,)]),
+        }
+        plan = convert_left_deep(q, ("R", "S"))
+        agg = AggregationSpec(kind, ("zz",))
+        for run in (
+            lambda: execute(q, plan, rels, agg),
+            lambda: nested_loop(q, rels, agg),
+            lambda: execute_bushy(q, parse_bushy("(R(a,b) S(b))"), rels, agg),
+        ):
+            with pytest.raises(QueryError, match="aggregate variable 'zz'"):
+                run()
+
+    def test_min_over_a_body_variable_outside_the_head(self):
+        q, _ = parse_query("Q(a) :- R(a,b), S(b)")
+        rels = {
+            "R": Relation.from_rows("R", ("u", "v"), [(1, 2), (3, 2), (0, 5)]),
+            "S": Relation.from_rows("S", ("u",), [(2,)]),
+        }
+        agg = AggregationSpec("min", ("b",))
+        result, _ = execute(q, convert_left_deep(q, ("R", "S")), rels, agg)
+        assert result.minima == nested_loop(q, rels, agg) == (2,)

@@ -54,6 +54,10 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation("R", ("a", "b"), {"a": [1], "b": []})
 
+    def test_columns_must_match_attrs(self):
+        with pytest.raises(SchemaError, match="columns do not match attrs"):
+            Relation("R", ("a", "b"), {"a": [1], "c": [2]})
+
     def test_mixed_kind_column_rejected(self):
         with pytest.raises(SchemaError):
             Relation.from_rows("R", ("a",), [(1,), ("x",)])
@@ -254,6 +258,16 @@ class TestLoadCsvErrorsPastFirstBlock:
         assert str(exc.value) == f"{p}:7001: not valid UTF-8"
 
 
+def test_first_bad_line_wins_over_a_later_bad_byte(tmp_path):
+    # Once reported ":5: not valid UTF-8": the strict decode of the block
+    # failed before line 2 was checked.
+    p = tmp_path / "r.csv"
+    p.write_bytes(b"1,2\nx,3\n4,5\n6,7\n8,\xff\n")
+    with pytest.raises(LoadError) as exc:
+        load_csv(p, "R", [("a", "int"), ("b", "int")])
+    assert str(exc.value) == f"{p}:2: column 1 (a): 'x' is not an integer"
+
+
 class _BadLine(Exception):
     pass
 
@@ -334,6 +348,15 @@ class TestSelect:
         rel = Relation.from_rows("R", ("a",), [(1,)])
         with pytest.raises(SchemaError):
             select(rel, "a", "==", "one")
+
+    @pytest.mark.parametrize(
+        "attr, op, message",
+        [("z", "==", "unknown attribute 'z'"), ("a", "=~", "unknown comparison operator '=~'")],
+    )
+    def test_bad_comparison(self, attr, op, message):
+        rel = Relation.from_rows("R", ("a",), [(1,)])
+        with pytest.raises(SchemaError, match=message):
+            select(rel, attr, op, 1)
 
 
 class TestAdversarialTriangle:

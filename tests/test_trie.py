@@ -167,6 +167,19 @@ class TestBuildTrie:
         with pytest.raises(ExecutionError):
             build_trie(rel, ("z",), HASH, LeafSpec(LEAF_VEC))
 
+    @pytest.mark.parametrize(
+        "rows, keys, dict_kind, leaf, message",
+        [
+            ([(1,)], ("a",), "btree", LEAF_VEC, "unknown dictionary kind 'btree'"),
+            ([(1,)], ("a",), HASH, "bitmap", "unknown leaf kind 'bitmap'"),
+            ([], (), SORTED, LEAF_RANGE, "range leaf cannot represent an empty group"),
+        ],
+    )
+    def test_bad_build_rejected(self, rows, keys, dict_kind, leaf, message):
+        rel = Relation.from_rows("R", ("a",), rows, sorted_by=("a",))
+        with pytest.raises(ExecutionError, match=message):
+            build_trie(rel, keys, dict_kind, LeafSpec(leaf))
+
     def test_leaf_size_helpers(self):
         assert leaf_size(5, LeafSpec(LEAF_COUNT)) == 5
         assert leaf_size(7, LeafSpec(LEAF_SMALLVEC)) == 1  # inline singleton
