@@ -20,10 +20,11 @@ each run through the rest of the plan before the next: the rows held per
 node stay bounded however far a join fans out, and results arrive in the
 order a row-at-a-time nested loop emits them.  ``count`` sums a batch's
 multiplicities, ``min`` takes a per-column minimum, and a full result adds
-the batch's rows to its bag.  Every run counter (probes, hits, comparisons,
-intermediates, outputs and min operations) is a local int added to
-``ExecStats`` once per execution, and counts what a row-at-a-time loop
-would, whatever the batch size.  The build counters are added once per
+the batch's rows to its bag, in first-seen order: by C-level counting when
+every multiplicity is 1, else row by row.  Every run counter (probes, hits,
+comparisons, intermediates, outputs and min operations) is a local int
+added to ``ExecStats`` once per execution, and counts what a row-at-a-time
+loop would, whatever the batch size.  The build counters are added once per
 trie; a sorted lookup over k keys counts ``k.bit_length()`` comparisons.
 
 Optimization toggles:
@@ -47,6 +48,11 @@ A plan whose root node walks trie keys (a generic-join intersection) is
 semijoin-reduced before any trie is built (Yannakakis, VLDB 1981): for each
 variable two or more of the root's relations contain, every one of them but
 the one with the fewest rows keeps only the rows whose value that one holds.
+A relation whose declared order starts with the variable's attribute finds
+those rows as key ranges, two bisects per value (Leapfrog Triejoin's row
+ranges), when that is cheaper than testing every row: for k values over
+n rows, when 3 * k * log2(n) <= n.  Any other relation tests every row;
+both give the same ascending offsets.
 A relation that comes out empty ends the execution with no trie built.  A
 plan whose root scans a relation (every binary plan and bushy stage) builds
 over all rows.  The build, probe and intermediate counters count the reduced
@@ -57,6 +63,8 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left, bisect_right
+from collections import _count_elements
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
 from operator import is_not, itemgetter, methodcaller, mul
@@ -251,13 +259,36 @@ def _semijoin_reduce(node, relations, var_attr):
         for name, attr in pairs:
             if name == smallest:
                 continue
-            col = out[name].columns[attr]
-            keep = list(compress(range(len(col)), map(keys.__contains__, col)))
+            rel = out[name]
+            col = rel.columns[attr]
+            ranges = rel.sorted_on((attr,)) and _bisect_pays(len(keys), len(col))
+            keep = _kept_offsets(col, keys, ranges)
             if not keep:
                 return None
             if len(keep) < len(col):
-                out[name] = out[name].take(keep)
+                out[name] = rel.take(keep)
     return out
+
+
+def _bisect_pays(keys: int, rows: int) -> bool:
+    """Whether bisecting a sorted column of ``rows`` rows for ``keys``
+    values beats scanning it: each of the about keys * log2(rows) bisect
+    steps must save at least three scanned rows.  Measured in CPython 3.11
+    on int and str columns of 200 to 200,000 rows, bisecting cost as much
+    as the scan at 0.5-0.7 steps per row for ints and 0.4-0.5 for strs."""
+    return 3 * keys * rows.bit_length() <= rows
+
+
+def _kept_offsets(col, keys: set, ranges: bool) -> list:
+    """The ascending offsets of the rows of ``col`` whose value is in
+    ``keys``.  With ``ranges`` (``col`` ascending) each value's run of rows
+    is found by ``bisect``; else every row is tested."""
+    if ranges:
+        values = sorted(keys)
+        return list(chain.from_iterable(map(
+            range, map(bisect_left, repeat(col), values), map(bisect_right, repeat(col), values)
+        )))
+    return list(compress(range(len(col)), map(keys.__contains__, col)))
 
 
 def _choose_structures(rel, levels, probe_only, policy, opts):
@@ -496,10 +527,13 @@ def execute(
             minima = vals if minima is None else list(map(min, minima, vals))
             n_min += len(out_vars) * len(mults)
         else:
-            rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat(())
-            get = bag.get
-            for row, mult in zip(rows, mults):
-                bag[row] = get(row, 0) + mult
+            rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat((), len(mults))
+            if mults.count(1) == len(mults):
+                _count_elements(bag, rows)
+            else:
+                get = bag.get
+                for row, mult in zip(rows, mults):
+                    bag[row] = get(row, 0) + mult
 
     def run(ni: int, batch: dict, mults: list):
         """Expand a batch by node ``ni``'s first subatom -- each row by its

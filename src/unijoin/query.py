@@ -194,7 +194,9 @@ def parse_query(text: str):
         raise QueryError(f"query must contain ':-' at position {len(text)}: {text!r}")
     head_text, body_text = text.split(":-", 1)
     head_text = head_text.strip()
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)", head_text)
+    # DOTALL: a newline between the head's parentheses is a blank, as
+    # anywhere else in a query.
+    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)", head_text, re.DOTALL)
     if m is None:
         raise QueryError(f"cannot parse query head: {head_text!r}")
     head_args = m.group(2).strip()

@@ -3,6 +3,7 @@ evaluator, counter semantics, optimization toggles, policies, and the
 staged evaluation of bushy trees."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -531,6 +532,48 @@ class TestWeightedRelations:
                 weighted["S"], ("a",), True, StructurePolicy(mode), OptConfig(o4=False)
             )
             assert spec.kind == LEAF_COUNT, mode
+
+
+class TestBagFold:
+    """A full result folds each batch into its bag: a batch whose
+    multiplicities are all 1 by C-level counting, any other row by row.
+    Both must give the per-row loop's bag, its tuples in the order a nested
+    loop first emits them, which is the row order of a bushy stage."""
+
+    R_ROWS = [(a, b) for a in range(5) for b in sorted({a % 3, (a + 1) % 3})]
+    T_ROWS = [(b, c) for b in range(3) for c in range(4)]
+    T_WEIGHTS = [3 if (b + c) % 5 == 0 else 1 for b, c in T_ROWS]
+
+    @pytest.mark.parametrize("head", ["a,c", "c,a", ""])
+    def test_matches_per_row_loop(self, head, monkeypatch):
+        q, agg = parse_query(f"Q({head}) :- R(a,b), T(b,c)")
+        rels = {
+            "R": Relation.from_rows("R", ("a", "b"), self.R_ROWS, sorted_by=("a", "b")),
+            "T": Relation.from_rows("T", ("b", "c"), self.T_ROWS, sorted_by=("b", "c"),
+                                    weights=self.T_WEIGHTS),
+        }
+        want = {}
+        for a, b in self.R_ROWS:
+            for (tb, c), w in zip(self.T_ROWS, self.T_WEIGHTS):
+                if tb == b:
+                    row = tuple({"a": a, "c": c}[v] for v in agg.output(q))
+                    want[row] = want.get(row, 0) + w
+        plan = convert_left_deep(q, ("R", "T"))
+        for batch in (1, 3, executor.BATCH):
+            monkeypatch.setattr(executor, "BATCH", batch)
+            for policy in POLICIES:
+                for opts in (OptConfig(), OptConfig.none()):
+                    with mock.patch.object(
+                        executor, "_count_elements", wraps=executor._count_elements
+                    ) as counted:
+                        result, _ = execute(q, plan, rels, agg, policy, opts)
+                    assert result.tuples == want
+                    assert list(result.tuples) == list(want), (batch, policy.mode)
+                    # Small batches mix all-ones and weighted ones; the one
+                    # big batch holds a weight of 3.  (With no head variable
+                    # O3 leaves T probe-only, and its count leaf sums weights.)
+                    if head:
+                        assert counted.called == (batch < len(self.R_ROWS) * 4)
 
 
 class TestSemijoinReduction:

@@ -5,7 +5,7 @@ from itertools import compress
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
@@ -427,24 +427,86 @@ def test_random_plans_match_reference(case):
                     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_generic_join_plans_match_reference(data):
+def test_generic_join_plans_match_reference():
     # A generic-join root walks trie keys, so execute semijoin-reduces its
-    # relations first; one relation with 0-3 rows makes it drop rows.
-    schema = data.draw(st.sampled_from(SCHEMAS))
-    q, agg = parse_query(data.draw(fuzz_query(schema)))
-    small = data.draw(st.sampled_from([name for name, _ in schema]))
-    rels = data.draw(fuzz_relations(schema, small=small))
-    plan = data.draw(fuzz_gj_plan(q))
-    reference = nested_loop(q, _expanded(rels), agg)
-    for batch in BATCHES:
-        with mock.patch.object(executor, "BATCH", batch):
-            for policy, opts in STRATEGIES:
-                result, _ = execute(q, plan, rels, agg, policy, opts)
-                assert result.matches_reference(reference), (
-                    policy.mode, opts.label(), batch, str(plan)
-                )
+    # relations first; one relation with 0-3 rows makes it drop rows.  At
+    # these sizes the reduction's size rule would almost never bisect, so
+    # each plan runs with the rule forced both ways: a relation sorted on
+    # the reduced attribute then takes its rows from key ranges or from a
+    # scan, and the first must happen in some example.
+    bisected = []
+
+    def rule(bisect):
+        def pays(keys, rows):
+            bisected.append(bisect)
+            return bisect
+        return pays
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        schema = data.draw(st.sampled_from(SCHEMAS))
+        q, agg = parse_query(data.draw(fuzz_query(schema)))
+        small = data.draw(st.sampled_from([name for name, _ in schema]))
+        rels = data.draw(fuzz_relations(schema, small=small))
+        plan = data.draw(fuzz_gj_plan(q))
+        reference = nested_loop(q, _expanded(rels), agg)
+        for batch in BATCHES:
+            for bisect in (False, True):
+                with mock.patch.object(executor, "BATCH", batch), \
+                        mock.patch.object(executor, "_bisect_pays", rule(bisect)):
+                    for policy, opts in STRATEGIES:
+                        result, _ = execute(q, plan, rels, agg, policy, opts)
+                        assert result.matches_reference(reference), (
+                            policy.mode, opts.label(), batch, bisect, str(plan)
+                        )
+
+    check()
+    assert True in bisected
+
+
+# A sorted column with runs of repeated values, and keys around and between
+# them: absent ones, ones below the first value and above the last.
+INT_KEYS = st.integers(-2, 12)
+STR_KEYS = st.sampled_from(("", "a", "ab", "b", "ba", "c", "cc", "d"))
+INT_COLUMN = st.lists(st.integers(0, 10), max_size=40).map(sorted)
+STR_COLUMN = st.lists(st.sampled_from(("a", "ab", "b", "c", "cc")), max_size=40).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.tuples(INT_COLUMN, st.sets(INT_KEYS, max_size=8)),
+              st.tuples(STR_COLUMN, st.sets(STR_KEYS, max_size=8))),
+)
+@example(([0, 0, 3, 3, 3, 7], {-1, 0, 5, 7, 12}))  # runs, absent, below, above
+@example(([1, 1, 2], {-1, 0, 5}))  # nothing joins
+@example((["a", "ab", "ab", "cc"], {"", "ab", "b", "d"}))
+def test_bisect_reduction_matches_scan(case):
+    # The semijoin cut of a column sorted on the reduced attribute: the
+    # offsets kept by bisecting each key's run equal the scan's, and an
+    # empty cut ends the reduction.  K gives the keys, so it is the smaller
+    # relation.
+    col, keys = case
+    assert executor._kept_offsets(tuple(col), keys, True) == executor._kept_offsets(
+        tuple(col), keys, False
+    ) == [i for i, v in enumerate(col) if v in keys]
+    keys = sorted(keys)[: len(col)]
+    rels = {
+        "K": Relation.from_rows("K", ("x",), [(k,) for k in keys]),
+        "R": Relation.from_rows("R", ("x", "y"), [(v, i) for i, v in enumerate(col)],
+                                sorted_by=("x", "y")),
+    }
+    node = (Subatom("K", ("x",)), Subatom("R", ("x",)))
+    var_attr = {("K", "x"): "x", ("R", "x"): "x", ("R", "y"): "y"}
+    want = [i for i, v in enumerate(col) if v in keys]
+    for bisect in (False, True):
+        with mock.patch.object(executor, "_bisect_pays", lambda keys, rows: bisect):
+            out = executor._semijoin_reduce(node, rels, var_attr)
+        if not want:
+            assert out is None
+        else:
+            assert list(out["R"].columns["y"]) == want
+            assert out["K"] is rels["K"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,12 +99,18 @@ class TestParseQuery:
             ("Q(a) :- R(a), S(1)", "bad variable name '1'"),
             ("Q(a,a) :- R(a)", "repeated variable in query head"),
             ("Q a :- R(a)", "cannot parse query head"),
+            ("Q(a,b) x :- R(a,b)", "cannot parse query head"),
+            ("Q(a,\nb)\nx :- R(a,b)", "cannot parse query head"),
             ("Q(a) :-  ", "query body is empty"),
         ],
     )
     def test_refused(self, text, message):
         with pytest.raises(QueryError, match=re.escape(message)):
             parse_query(text)
+
+    @pytest.mark.parametrize("head", ["Q(a,\nb)", "Q(\na, b\n)", "Q\n(a,b)"])
+    def test_newline_in_head_is_a_blank(self, head):
+        assert parse_query(f"{head} :- R(a,b)") == parse_query("Q(a,b) :- R(a,b)")
 
 
 class TestPlanText:
