@@ -53,10 +53,12 @@ those rows as key ranges, two bisects per value (Leapfrog Triejoin's row
 ranges), when that is cheaper than testing every row: for k values over
 n rows, when 3 * k * log2(n) <= n.  Any other relation tests every row;
 both give the same ascending offsets.
-A relation that comes out empty ends the execution with no trie built.  A
-plan whose root scans a relation (every binary plan and bushy stage) builds
-over all rows.  The build, probe and intermediate counters count the reduced
-relations, and the reduction's time counts as build time.
+A relation that comes out empty ends the execution with no trie built, as
+does a variable whose columns differ in kind (an int never equals a str),
+before any reduction.  A plan whose root scans a relation (every binary
+plan and bushy stage) builds over all rows.  The build, probe and
+intermediate counters count the reduced relations, and the reduction's
+time counts as build time.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_left, bisect_right
+# The C helper behind ``Counter.update``: it counts an iterable into any
+# mapping, a plain dict included, adding keys in first-seen order.  The full
+# result's fold relies on it for speed and for that order.
 from collections import _count_elements
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
@@ -244,7 +249,9 @@ def _semijoin_reduce(node, relations, var_attr):
     for each variable two or more of them contain, the one with the fewest
     rows (the first in node order on a tie) gives its values, and every other
     keeps only the rows whose value is among them.  None when a relation
-    comes out empty."""
+    comes out empty.  Every column of a variable holds one kind (``execute``
+    returns before this when they differ), so a sorted column can be
+    bisected for the values."""
     holders: dict[str, list] = {}  # variable -> (relation, attribute) pairs
     for sub in node:
         for (name, v), attr in var_attr.items():
@@ -254,8 +261,8 @@ def _semijoin_reduce(node, relations, var_attr):
     for pairs in holders.values():
         if len(pairs) < 2:
             continue
-        smallest, attr = min(pairs, key=lambda p: out[p[0]].size)
-        keys = set(out[smallest].columns[attr])
+        smallest, key_attr = min(pairs, key=lambda p: out[p[0]].size)
+        keys = set(out[smallest].columns[key_attr])
         for name, attr in pairs:
             if name == smallest:
                 continue

@@ -475,6 +475,34 @@ class TestEdgeCases:
                     assert result.kind == agg.kind and getattr(result, field) == empty
                     assert result.matches_reference(reference)
 
+    def test_mixed_kind_sorted_relation_matches_nothing(self):
+        # S is large and sorted on x, so where x's columns share a kind the
+        # generic-join root's reduction bisects S for R's x-values (a count
+        # would let O3 drop the root's intersection).  With an int column in
+        # R and a str one in S nothing joins, and no int is compared with a
+        # str.
+        q, _ = parse_query("Q(x,a,b) :- R(x,a), S(x,b)")
+        plan = optimize_plan(q, convert_left_deep(q, ("R", "S")), MODE_GENERIC_JOIN)
+        r = rel("R", ("x", "a"), [(1, 0), (2, 0)])
+        assert executor._bisect_pays(2, 1000)
+        aggs = (
+            (AggregationSpec(AGG_FULL, q.head), "tuples", {}),
+            (AggregationSpec(AGG_MIN, ("a",)), "minima", None),
+        )
+        for key in (int, "{:04}".format):
+            rels = {"R": r, "S": rel("S", ("x", "b"), [(key(i), i) for i in range(1000)])}
+            for agg, field, empty in aggs:
+                for policy in POLICIES:
+                    with mock.patch.object(
+                        executor, "_kept_offsets", wraps=executor._kept_offsets
+                    ) as kept:
+                        result, _ = execute(q, plan, rels, agg, policy)
+                    if key is int:
+                        assert result.matches_reference(nested_loop(q, rels, agg))
+                        assert kept.call_args.args[2]  # S was bisected
+                    else:
+                        assert getattr(result, field) == empty and not kept.called
+
     def test_duplicates_multiply(self):
         q, agg = parse_query("Q(x) :- R(x), S(x)")
         rels = {
