@@ -3,29 +3,34 @@
 One evaluator runs every plan in the spectrum.  One pass decides each
 atom's access once, as a record: the relation (a sorted copy when sorted
 dictionaries need one), the trie root, the leaf spec, the dictionary kind
-and how many subatoms descend trie levels.  Each plan node is compiled
-straight from these records into what its first subatom iterates -- the row
-offsets of a leaf (a scan walks a range leaf over every row), or the key
-paths of one or more trie levels -- and a flat tuple of probes.
+and how many subatoms descend trie levels, one level each, keyed by the
+subatom's variable or by the tuple of its variables (Free Join's generalized
+hash trie).  Each plan node is compiled straight from these records into
+what its first subatom iterates -- the row offsets of a leaf (a scan walks a
+range leaf over every row), or the keys of one trie level -- and a flat
+tuple of probes.
 
 Every node runs the same iterate-then-probe step over a batch of rows, in
 C-level passes over columns (``map``, ``compress``, ``chain``), as in
 vectorized execution (MonetDB/X100).  A batch holds a column per bound
 variable, one per trie node a later subatom starts from, and a multiplicity
 column.  The first subatom expands each row by what it iterates, repeating
-the carried columns; each probe level is one lookup per row (a dict ``get``,
-or ``bisect`` on a sorted dictionary), and rows that miss are dropped before
-the next level.  An expansion is cut into batches of at most ``BATCH`` rows,
-each run through the rest of the plan before the next: the rows held per
-node stay bounded however far a join fans out, and results arrive in the
-order a row-at-a-time nested loop emits them.  ``count`` sums a batch's
-multiplicities, ``min`` takes a per-column minimum, and a full result adds
-the batch's rows to its bag, in first-seen order: by C-level counting when
-every multiplicity is 1, else row by row.  Every run counter (probes, hits,
-comparisons, intermediates, outputs and min operations) is a local int
-added to ``ExecStats`` once per execution, and counts what a row-at-a-time
-loop would, whatever the batch size.  The build counters are added once per
-trie; a sorted lookup over k keys counts ``k.bit_length()`` comparisons.
+the carried columns; each probe is one lookup per row (a dict ``get``, or
+``bisect`` on a sorted dictionary), and rows that miss are dropped before
+the next.  An expansion is cut into batches of at most ``BATCH`` rows, each
+run through the rest of the plan before the next: the rows held per node
+stay bounded however far a join fans out, and results arrive in the order a
+row-at-a-time nested loop emits them, walking a hash level's keys (key
+tuples too) in first-seen order and a sorted level's in ascending order.
+``count`` sums a batch's multiplicities, ``min`` takes a per-column minimum,
+and a full result adds the batch's rows to its bag, in first-seen order: by
+C-level counting when every multiplicity is 1, else row by row.  Every run
+counter (probes, hits, comparisons, intermediates, outputs and min
+operations) is a local int added to ``ExecStats`` once per execution, and
+counts what a row-at-a-time loop would, whatever the batch size; a probe
+counts one lookup per row per probe subatom.  The build counters are added
+once per trie; a sorted lookup over k keys counts ``k.bit_length()``
+comparisons.
 
 Optimization toggles:
 
@@ -100,7 +105,6 @@ from .trie import (
     LeafSpec,
     SortedDict,
     build_trie,
-    key_paths,
     leaf_offsets,
     leaf_size,
 )
@@ -388,7 +392,7 @@ def execute(
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return _result(agg, out_vars), stats
     # One access record per atom: (relation, root, leaf spec, is_sorted,
-    # keyed parts, parts).  The first ``keyed`` parts descend trie levels; a
+    # keyed parts, parts).  The first ``keyed`` parts descend a level each; a
     # last part that a node iterates first walks the leaf offsets (a scan
     # walks a range leaf over every row).  Part 0 starts from ``root``; part
     # ``i`` from the trie node part ``i - 1`` reached, which the batch holds
@@ -399,14 +403,12 @@ def execute(
         rel = relations[name]
         keyed = len(subs) - 1 if subs[-1][1] == 0 else len(subs)
         if keyed:
-            level_attrs = tuple(
-                var_attr[(name, v)] for _, _, sub in subs[:keyed] for v in sub.vars
-            )
+            levels = [tuple(var_attr[(name, v)] for v in sub.vars) for _, _, sub in subs[:keyed]]
             rel, dict_kind, spec, sorted_copy = _choose_structures(
-                rel, level_attrs, keyed == len(subs), policy, opts
+                rel, tuple(chain.from_iterable(levels)), keyed == len(subs), policy, opts
             )
             stats.sort_ops += sorted_copy
-            trie = build_trie(rel, level_attrs, dict_kind, spec)
+            trie = build_trie(rel, [a[0] if len(a) == 1 else a for a in levels], dict_kind, spec)
             stats.trie_build_insertions += trie.insertions
             stats.deep_intermediate_tries += name in intermediate_names
             root, is_sorted = trie.root, dict_kind == SORTED
@@ -419,12 +421,11 @@ def execute(
     # probes).  ``start`` is the column of trie nodes the first subatom
     # starts from, or None when it starts from ``root``.  The spec is set
     # when the first subatom walks leaf offsets, and bind is then (var,
-    # column) pairs; else it walks the trie keys of its variables ``bind``,
-    # one level each, and the nodes it reaches form the column ``child``.  A
-    # probe is (start, root, vars, is_sorted, leaf spec or None, child): it
-    # descends one level per variable; the spec is set for an atom's final,
-    # probe-only part, whose group size multiplies, and else the nodes it
-    # reaches form the column ``child``.
+    # column) pairs; else it walks the trie level keyed by its variables
+    # ``bind``, and the nodes it reaches form the column ``child``.  A probe
+    # is (start, root, vars, is_sorted, leaf spec or None, child): the spec
+    # is set for an atom's final, probe-only part, whose group size
+    # multiplies, and else the nodes it reaches form the column ``child``.
     part = dict.fromkeys(access, 0)  # atom -> index of its next part
     nodes = []
     for node in working.nodes:
@@ -474,32 +475,35 @@ def execute(
     minima: list | None = None
 
     def probe(batch, mults, probes):
-        """Run ``probes`` in order over a batch: each level is one lookup
-        per row, and a row that misses is dropped before the next.  Stores
-        the trie nodes reached in the batch and returns the multiplicities
-        times the probe-only group sizes, or None when no row is left."""
+        """Run ``probes`` in order over a batch, one lookup per row each,
+        dropping a row that misses.  Stores the trie nodes reached in the
+        batch and returns the multiplicities times the probe-only group
+        sizes, or None when no row is left."""
         nonlocal n_probes, n_hits, n_comps
         for start, root, pvars, is_sorted, spec, child in probes:
-            node = repeat(root) if start is None else batch[start]
-            for v in pvars:
-                n = len(mults)
-                n_probes += n
-                if is_sorted:
-                    found = list(map(SortedDict.find, node, batch[v]))
-                    n_comps += sum(map(itemgetter(1), found))
-                    node = list(map(itemgetter(0), found))
-                else:
-                    node = list(map(dict.get, node, batch[v], repeat(_MISSING)))
-                miss = node.count(_MISSING)
-                n_hits += n - miss
-                if miss == n:
-                    return None
-                if miss:
-                    keep = list(map(is_not, node, repeat(_MISSING)))
-                    for key, col in batch.items():
-                        batch[key] = list(compress(col, keep))
-                    mults = list(compress(mults, keep))
-                    node = list(compress(node, keep))
+            n = len(mults)
+            node = repeat(root, n) if start is None else batch[start]
+            if len(pvars) == 1:
+                keys = batch[pvars[0]]
+            else:  # a tuple per row, the empty one for no variable
+                keys = zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
+            n_probes += n
+            if is_sorted:
+                found = list(map(SortedDict.find, node, keys))
+                n_comps += sum(map(itemgetter(1), found))
+                node = list(map(itemgetter(0), found))
+            else:
+                node = list(map(dict.get, node, keys, repeat(_MISSING)))
+            miss = node.count(_MISSING)
+            n_hits += n - miss
+            if miss == n:
+                return None
+            if miss:
+                keep = list(map(is_not, node, repeat(_MISSING)))
+                for key, col in batch.items():
+                    batch[key] = list(compress(col, keep))
+                mults = list(compress(mults, keep))
+                node = list(compress(node, keep))
             if spec is None:
                 batch[child] = node
             else:
@@ -544,10 +548,10 @@ def execute(
 
     def run(ni: int, batch: dict, mults: list):
         """Expand a batch by node ``ni``'s first subatom -- each row by its
-        leaf's row offsets, or by the (key, child) pairs of one trie level or
-        the (key path, child) pairs of several -- then probe the other
-        subatoms and recurse, at most ``BATCH`` rows at a time and in row
-        order."""
+        leaf's row offsets, or by the (key, child) pairs of one trie level,
+        a key tuple unzipped into a column per variable -- then probe the
+        other subatoms and recurse, at most ``BATCH`` rows at a time and in
+        row order."""
         nonlocal n_inter
         if ni == suffix_start:
             finish(batch, mults)
@@ -557,12 +561,9 @@ def execute(
         if spec is not None:
             groups = list(map(leaf_offsets, starts, repeat(spec)))
             items = chain.from_iterable(groups)
-        elif len(bind) == 1:
+        else:
             groups = starts
             items = chain.from_iterable(map(methodcaller("items"), starts))
-        else:
-            groups = list(map(key_paths, starts, repeat(len(bind))))
-            items = chain.from_iterable(groups)
         sizes = list(map(len, groups))
         total = sum(sizes)
         if ni:
@@ -582,10 +583,7 @@ def execute(
                     out_mults = list(map(mul, out_mults, map(weights.__getitem__, chunk)))
             else:
                 keys, out[child] = zip(*chunk)
-                if len(bind) == 1:
-                    out[bind[0]] = keys
-                else:
-                    out.update(zip(bind, zip(*keys)))
+                out.update(zip(bind, (keys,) if len(bind) == 1 else zip(*keys)))
             out_mults = probe(out, out_mults, probes)
             if out_mults is not None:
                 run(ni + 1, out, out_mults)

@@ -1,9 +1,10 @@
 """Trie levels and leaves: hash and sorted dictionaries, five leaf shapes.
 
-A trie indexes a relation by an ordered list of key attributes.  Internal
-levels are dictionaries from attribute value to child; the leaf under a full
-key path holds the row offsets sharing that path, in one of several
-representations:
+A trie indexes a relation by an ordered list of levels, each keyed by one
+attribute's values or by the tuples of several attributes' values (Free
+Join's generalized hash trie).  Internal levels are dictionaries from key to
+child; the leaf under a full key path holds the row offsets sharing that
+path, in one of several representations:
 
 * ``hashmap`` -- dict offset -> 1, the naive baseline (optimizations off)
 * ``vec``     -- plain list of offsets
@@ -21,21 +22,22 @@ over k keys is charged ``k.bit_length()`` comparisons, the most that
 ``bisect_left`` makes, whether the key is found or not.
 
 A hash trie groups the rows on their whole key path in one pass over the
-rows, then nests the paths into one dictionary per level, keys in
-first-seen order.  A sorted trie is built from run boundaries: in a relation
-sorted by the key attributes every key prefix occupies a contiguous run of
-rows, so the build finds where runs start with C-level passes over the key
-columns, makes one leaf per deepest run and folds the runs upward into
-sorted dictionaries; Python code runs once per group, not once per row.  A
-trie without levels is one run of every row.  Built tries are immutable;
-builders are single-writer.
+rows, then nests the paths into one dictionary per level, keys (key tuples
+too) in first-seen order.  A sorted trie is built from run boundaries: in a
+relation sorted by the key attributes every key prefix occupies a
+contiguous run of rows, so the build finds where runs start with C-level
+passes over the key columns (a tuple level's column holds its tuples, which
+compare lexicographically), makes one leaf per deepest run and folds the
+runs upward into sorted dictionaries; Python code runs once per group, not
+once per row.  A trie without levels is one run of every row.  Built tries
+are immutable; builders are single-writer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ne, or_, sub
 
 from .errors import ExecutionError, SortednessError
@@ -104,28 +106,24 @@ class SortedDict:
 class Trie:
     """Built index over a relation.
 
-    ``levels`` pairs each key attribute with its dictionary kind.  ``root``
-    is the top-level dictionary, or directly a leaf when there are no key
-    attributes.  ``insertions`` counts the rows indexed.
+    ``levels`` pairs each level's attribute, or tuple of attributes, with
+    its dictionary kind.  ``root`` is the top-level dictionary, or directly
+    a leaf when there are no levels.  ``insertions`` counts the rows indexed.
     """
 
-    levels: tuple[tuple[str, str], ...]
+    levels: tuple[tuple[str | tuple[str, ...], str], ...]
     leaf: LeafSpec
     root: object
     insertions: int
 
     def paths(self) -> dict[tuple, object]:
-        """Map each root-to-leaf key path to its leaf."""
-        return dict(key_paths(self.root, len(self.levels)))
-
-
-def key_paths(node, depth):
-    """(key path, child) for every path ``depth`` trie levels below ``node``,
-    in key order, expanded one level at a time (no recursion)."""
-    pairs = [((), node)]
-    for _ in range(depth):
-        pairs = [(path + (key,), child) for path, n in pairs for key, child in n.items()]
-    return pairs
+        """Map each root-to-leaf key path, flattened, to its leaf."""
+        pairs = [((), self.root)]
+        for key_attr, _ in self.levels:
+            tupled = key_attr.__class__ is tuple
+            pairs = [(path + (key if tupled else (key,)), child)
+                     for path, node in pairs for key, child in node.items()]
+        return dict(pairs)
 
 
 def leaf_offsets(leaf, spec: LeafSpec):
@@ -148,21 +146,23 @@ def leaf_size(leaf, spec: LeafSpec) -> int:
 
 
 def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie:
-    """Build a trie with one level per key attribute, one insertion per row.
+    """Build a trie with one level per ``key_attrs`` entry, one insertion per
+    row: an attribute keys its level by its values, a tuple of attributes
+    by the tuples of theirs (the empty tuple by ``()``).
 
-    A sorted dictionary requires the relation to be sorted with the key
-    attributes as a prefix of its declared order, which was verified when
-    the relation was built; a range leaf additionally requires sorted
-    dictionaries (contiguity comes from the sort).
+    Sorted dictionaries require the entries' attributes to start the
+    relation's declared order, verified when it was built; a range leaf
+    requires sorted dictionaries (contiguity comes from the sort).
     """
     key_attrs = tuple(key_attrs)
-    for a in key_attrs:
+    flat = tuple(chain.from_iterable(a if a.__class__ is tuple else (a,) for a in key_attrs))
+    for a in flat:
         if a not in rel.attrs:
             raise ExecutionError(f"build_trie: {rel.name} has no attribute {a!r}")
     if dict_kind == SORTED:
-        if not rel.sorted_on(key_attrs):
+        if not rel.sorted_on(flat):
             raise SortednessError(
-                f"build_trie: sorted dictionaries over {key_attrs} require "
+                f"build_trie: sorted dictionaries over {flat} require "
                 f"{rel.name} sorted by that prefix (declared: {rel.sorted_by or ()})"
             )
     elif dict_kind != HASH:
@@ -178,7 +178,9 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
         if size == 0 and leaf.kind == LEAF_RANGE:
             raise ExecutionError("range leaf cannot represent an empty group")
         return Trie((), leaf, _run_leaves(leaf.kind, [0], [size], weights)[0], size)
-    cols = [rel.columns[a] for a in key_attrs]
+    # A tuple entry's column holds its tuples, the empty one () per row.
+    cols = [rel.columns[a] if a.__class__ is not tuple
+            else list(zip(*map(rel.columns.__getitem__, a))) or [()] * size for a in key_attrs]
     if dict_kind == SORTED:
         root = _build_sorted(cols, leaf, weights)
     elif len(cols) == 1:
@@ -189,8 +191,8 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
 
 
 def _build_hash1(col, leaf: LeafSpec, weights=None):
-    """Hash dictionary from each row's key in ``col`` (a value, or a key-path
-    tuple) to the leaf of the rows holding it; the hot path for trie
+    """Hash dictionary from each row's key in ``col`` (a level's key, or a
+    path of them) to the leaf of the rows holding it; the hot path for trie
     creation.  ``weights`` (None: all 1) only matter to count leaves."""
     root: dict = {}
     get = root.get
@@ -225,8 +227,8 @@ def _build_hash1(col, leaf: LeafSpec, weights=None):
 
 
 def _nest(flat):
-    """Nested dictionaries from one keyed by whole key paths, each level's
-    keys in first-seen order."""
+    """Nested dictionaries from one keyed by whole key paths (one key per
+    level), each level's keys in first-seen order."""
     root: dict = {}
     for path, leaf in flat.items():
         node = root

@@ -2,7 +2,10 @@
 evaluator, counter semantics, optimization toggles, policies, and the
 staged evaluation of bushy trees."""
 
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -201,7 +204,8 @@ class TestPinnedCounters:
     loop or of the access decisions must reproduce them exactly.  Each cell
     runs at the engine's batch size and at batches of 1 and 3 rows, where
     the n=40 triangle's 20-row hub fan spans several batches: no counter may
-    depend on where a batch splits."""
+    depend on where a batch splits.  A probe is one lookup per row per probe
+    subatom, so the binary plan's probe of T(c,a) counts once per row."""
 
     BATCHES = (executor.BATCH, 1, 3)
 
@@ -218,9 +222,9 @@ class TestPinnedCounters:
 
     # (plan, policy) -> COUNTERS on the adversarial triangle at n=40
     EXPECTED = {
-        ("binary", "hash"): (880, 480, 420, 20, 0, 80, 0, 0),
-        ("binary", "sorted"): (880, 480, 420, 20, 4320, 80, 0, 0),
-        ("binary", "hybrid"): (880, 480, 420, 20, 200, 80, 0, 0),
+        ("binary", "hash"): (460, 60, 420, 20, 0, 80, 0, 0),
+        ("binary", "sorted"): (460, 60, 420, 20, 2720, 80, 0, 0),
+        ("binary", "hybrid"): (460, 60, 420, 20, 200, 80, 0, 0),
         ("gj", "hash"): (80, 60, 40, 20, 0, 100, 0, 0),
         ("gj", "sorted"): (80, 60, 40, 20, 320, 100, 1, 0),
         ("gj", "hybrid"): (80, 60, 40, 20, 100, 100, 0, 0),
@@ -247,9 +251,9 @@ class TestPinnedCounters:
 
     # policy -> (count, COUNTERS); the same with O5 on and off
     BUSHY_CYCLE4 = {
-        "hash": (279, (36, 35, 32, 324, 0, 20, 0, 0)),
-        "sorted": (279, (36, 35, 32, 324, 72, 20, 1, 0)),
-        "hybrid": (279, (36, 35, 32, 324, 24, 20, 0, 0)),
+        "hash": (279, (24, 23, 32, 324, 0, 20, 0, 0)),
+        "sorted": (279, (24, 23, 32, 324, 72, 20, 1, 0)),
+        "hybrid": (279, (24, 23, 32, 324, 24, 20, 0, 0)),
     }
 
     @pytest.mark.parametrize("o5", (True, False))
@@ -276,14 +280,15 @@ class TestPinnedCounters:
 
     # policy -> COUNTERS; sorted re-sorts R, which declares no order
     KEY_WALK = {
-        "hash": (18, 12, 6, 8, 0, 22, 0, 0),
-        "sorted": (18, 12, 6, 8, 27, 22, 1, 0),
-        "hybrid": (18, 12, 6, 8, 0, 22, 0, 0),
+        "hash": (9, 3, 6, 8, 0, 22, 0, 0),
+        "sorted": (9, 3, 6, 8, 18, 22, 1, 0),
+        "hybrid": (9, 3, 6, 8, 0, 22, 0, 0),
     }
 
     @pytest.mark.parametrize("policy", sorted(KEY_WALK))
     def test_multi_variable_key_walk(self, policy, monkeypatch):
-        # The root walks R's and S's key paths over (a, b) together.
+        # The root walks R's one level of (a, b) key tuples and probes S's
+        # (a, b) level once per tuple: 9 probes, not one per variable.
         q, agg = parse_query("Q(a,b,c) :- R(a,b,c), S(a,b)")
         rels = {
             "R": Relation.from_rows(
@@ -513,6 +518,73 @@ class TestEdgeCases:
         for opts in (OptConfig(), OptConfig.none()):
             result, _ = execute(q, plan, rels, agg, opts=opts)
             assert result.tuples == {(1,): 6}
+
+
+class TestTupleLevels:
+    """A subatom of several variables is one trie level keyed by the tuple
+    of its variables' values."""
+
+    @staticmethod
+    def walk_order(policy):
+        """The root walks R's (a, b) level over str keys and probes S's."""
+        q, agg = parse_query("Q(a,b,c) :- R(a,b,c), S(a,b)")
+        rows = ["xp1", "yp2", "xq3", "yp4", "xp5"]  # one character per value
+        rels = {
+            "R": Relation.from_rows("R", ("a", "b", "c"), map(tuple, rows)),
+            "S": Relation.from_rows("S", ("a", "b"), [("y", "p"), ("x", "q"), ("x", "p")]),
+        }
+        plan = parse_plan("R(a,b), S(a,b)\nR(c)")
+        result, _ = execute(q, plan, rels, agg, StructurePolicy(policy))
+        assert result.matches_reference(nested_loop(q, rels, agg))
+        return list(result.tuples.items())
+
+    # A hash level holds its key tuples in first-seen order, not grouped by
+    # a; a sorted level (over a sorted copy of R) in ascending order.  Each
+    # string spells a result row, one character per value.
+    ORDER = {
+        "hash": ["xp1", "xp5", "yp2", "yp4", "xq3"],
+        "hybrid": ["xp1", "xp5", "yp2", "yp4", "xq3"],
+        "sorted": ["xp1", "xp5", "xq3", "yp2", "yp4"],
+    }
+
+    @pytest.mark.parametrize("policy", sorted(ORDER))
+    def test_walk_order_at_every_batch_size(self, policy, monkeypatch):
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            assert self.walk_order(policy) == [(tuple(t), 1) for t in self.ORDER[policy]], batch
+
+    def test_walk_order_under_any_string_hash_seed(self):
+        # Run in fresh interpreters whose str hashes differ.
+        src = os.path.dirname(os.path.dirname(executor.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        code = (
+            f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; import test_executor; "
+            "print(test_executor.TestTupleLevels.walk_order('hash'))"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert outputs == {f"{self.walk_order('hash')}\n"}
+
+    @pytest.mark.parametrize("text", [
+        "R(a), S(a)\nS(b), R()",  # a probe of no variable: the () key
+        "R(a), S(a)\nS(), R()\nS(b)",
+        "R()\nR(a), S(a)\nS(b)",  # a walk of no variable
+    ])
+    def test_subatom_without_variables(self, text):
+        q, agg = parse_query("Q(a,b) :- R(a), S(b,a)")
+        rels = {
+            "R": rel("R", ("x",), [(1,), (2,), (2,)]),
+            "S": rel("S", ("x", "y"), [(5, 1), (6, 2)], sort=False),
+        }
+        for policy in POLICIES:
+            for opts in (OptConfig(), OptConfig.none()):
+                result, _ = execute(q, parse_plan(text), rels, agg, policy, opts)
+                assert result.tuples == nested_loop(q, rels, agg) == {(1, 5): 1, (2, 6): 2}
 
 
 class TestWeightedRelations:
@@ -779,4 +851,4 @@ class TestBushyExecution:
             assert stage.size == len(set(stage.rows())) == 7
             assert stage.total_weight == 22
             assert (stats.trie_build_insertions, stats.intermediate_tuples) == (23, 51)
-            assert (stats.probes, stats.output_tuples) == (60, 72)
+            assert (stats.probes, stats.output_tuples) == (38, 72)

@@ -172,6 +172,12 @@ def test_triangle_join_matches_reference(r_rows, s_rows, t_rows):
 
 SCHEMAS = tuple(dict.fromkeys(entry.schemas for entry in CORPUS))
 FLAT_SCHEMAS = SCHEMAS + ((("R", ("a", "b")), ("S", ("b",)), ("T", ("c",))),)
+# A corpus atom is binary, so none walks a level of two variables and then
+# descends further; flat plans draw these ternary atoms half the time.
+TERNARY_SCHEMAS = (
+    (("R", ("a", "b", "c")), ("S", ("a", "b")), ("T", ("b", "c"))),
+    (("R", ("a", "b", "c")), ("S", ("a", "b", "c"))),
+)
 INT_CELLS = st.integers(0, 2)
 STR_CELLS = st.sampled_from(("", "a", "ab"))
 
@@ -204,15 +210,24 @@ def fuzz_relations(draw, schema, min_repeats=0, small=None):
     """One relation per atom: up to 8 drawn rows plus ``min_repeats`` to 4
     repeats of them, int or str per variable, and either no declared order
     or the rows sorted by a random permutation of the attributes, declared.
-    The relation named ``small``, if any, gets 0 to 3 rows and no repeats.
-    Half the time every relation gets a weight from 1 to 3 per row."""
-    cells = {v: draw(st.sampled_from((INT_CELLS, STR_CELLS))) for v in _variables(schema)}
+    A quarter of the time the kind is drawn per atom and variable instead,
+    so a join variable may hold ints in one relation and strs in another.
+    Only a quarter of the time may a relation be empty, which empties the
+    whole join.  The relation named ``small``, if any, gets 0 to 3 rows and
+    no repeats.  Half the time every relation gets a weight from 1 to 3 per
+    row."""
+    kind = st.sampled_from((INT_CELLS, STR_CELLS))
+    cells = {v: draw(kind) for v in _variables(schema)}
+    mixed = draw(st.integers(0, 3)) == 0
+    least = 0 if draw(st.integers(0, 3)) == 0 else 1
     weighted = draw(st.booleans())
     rels = {}
     for name, vars_ in schema:
         attrs = tuple(f"c{i}" for i in range(len(vars_)))
         cap = 3 if name == small else 8
-        rows = draw(st.lists(st.tuples(*(cells[v] for v in vars_)), max_size=cap))
+        own = [draw(kind) if mixed else cells[v] for v in vars_]
+        rows = draw(st.lists(st.tuples(*own), min_size=0 if name == small else least,
+                             max_size=cap))
         if rows and name != small:
             rows += draw(st.lists(st.sampled_from(rows), min_size=min_repeats, max_size=4))
         order = draw(st.none() | st.permutations(attrs))
@@ -255,6 +270,9 @@ def fuzz_plan(draw, q):
     bound: set[str] = set()
 
     def take(rel, vars_):
+        # A size drawn first, so that subatoms of several variables, each
+        # one tuple-keyed trie level, are drawn as often as single ones.
+        vars_ = draw(st.permutations(vars_))[: draw(st.integers(1, len(vars_)))]
         for v in vars_:
             remaining[rel].remove(v)
         return Subatom(rel, tuple(vars_))
@@ -265,12 +283,12 @@ def fuzz_plan(draw, q):
         if not firsts:
             break
         rel = draw(st.sampled_from(firsts))
-        node = [take(rel, draw(st.lists(st.sampled_from(fresh[rel]), min_size=1, unique=True)))]
+        node = [take(rel, fresh[rel])]
         bound |= set(node[0].vars)
         for other in draw(st.permutations(list(remaining))):
             ready = [v for v in remaining[other] if v in bound]
             if other != rel and ready and draw(st.booleans()):
-                node.append(take(other, draw(st.lists(st.sampled_from(ready), min_size=1, unique=True))))
+                node.append(take(other, ready))
         nodes.append(node)
         bound_after.append(set(bound))
 
@@ -393,10 +411,10 @@ STRATEGIES = tuple(
 FLAT_STRATEGIES = STRATEGIES + tuple(
     (StructurePolicy(policy), OptConfig(o3=False)) for policy in ("hash", "sorted", "hybrid")
 )
-# The engine's own batch size, then batches of one and two rows, so a plan
+# The engine's own batch size, then batches of one and three rows, so a plan
 # runs with every batch boundary crossed.  Patched inside each test body: a
 # function-scoped fixture would be shared by every Hypothesis example.
-BATCHES = (executor.BATCH, 1, 2)
+BATCHES = (executor.BATCH, 1, 3)
 
 
 @st.composite
@@ -408,23 +426,58 @@ def fuzz_case(draw, schemas=SCHEMAS):
     return text, draw(fuzz_relations(schema)), draw(fuzz_plan(q))
 
 
-@settings(max_examples=150, deadline=None)
-@given(fuzz_case(FLAT_SCHEMAS))
-def test_random_plans_match_reference(case):
-    text, rels, plan = case
-    q, agg = parse_query(text)
-    assert plan_violation(q, plan) is None, str(plan)
-    reference = nested_loop(q, _expanded(rels), agg)
-    assert nested_loop(q, rels, agg) == reference
-    # The plan as drawn, and its hoisted-probe rewrite.
-    for run_plan in (plan, optimize_plan(q, plan, MODE_FREEJOIN)):
-        for batch in BATCHES:
-            with mock.patch.object(executor, "BATCH", batch):
+def test_random_plans_match_reference():
+    # A subatom of several variables is one trie level keyed by tuples.
+    # Some example must probe such a level and walk one, under each
+    # dictionary kind and at every batch size, where rows reach it: the plan
+    # returns rows, or the walk is the root's, which runs once whatever
+    # follows.  With O3 off the plan runs as drawn, so its subatoms name the
+    # built levels.  In ten seeded rounds of 150 examples, 9 to 23 drew such
+    # a walk; up to three rounds run, each drawing anew.
+    reached = set()
+    want = {
+        (kind, role, batch)
+        for kind in (HASH, SORTED) for role in ("probe", "walk") for batch in BATCHES
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(fuzz_case(FLAT_SCHEMAS), fuzz_case(TERNARY_SCHEMAS)))
+    def check(case):
+        text, rels, plan = case
+        q, agg = parse_query(text)
+        assert plan_violation(q, plan) is None, str(plan)
+        reference = nested_loop(q, _expanded(rels), agg)
+        assert nested_loop(q, rels, agg) == reference
+        # The plan as drawn, and its hoisted-probe rewrite.
+        for run_plan in (plan, optimize_plan(q, plan, MODE_FREEJOIN)):
+            for batch in BATCHES:
                 for policy, opts in FLAT_STRATEGIES:
-                    result, _ = execute(q, run_plan, rels, agg, policy, opts)
+                    built = {}
+
+                    def spy(rel, levels, dict_kind, spec):
+                        built[rel.name] = (levels, dict_kind)
+                        return build_trie(rel, levels, dict_kind, spec)
+
+                    with mock.patch.object(executor, "BATCH", batch), \
+                            mock.patch.object(executor, "build_trie", spy):
+                        result, _ = execute(q, run_plan, rels, agg, policy, opts)
                     assert result.matches_reference(reference), (
                         policy.mode, opts.label(), batch, str(run_plan)
                     )
+                    if opts.o3:
+                        continue
+                    rows = reference not in ({}, 0, None)
+                    for name, (levels, dict_kind) in built.items():
+                        for (ni, pos, _), level in zip(run_plan.subatoms_of(name), levels):
+                            if level.__class__ is tuple and len(level) > 1:
+                                if rows or (ni, pos) == (0, 0):
+                                    reached.add((dict_kind, "probe" if pos else "walk", batch))
+
+    for _ in range(3):
+        check()
+        if reached == want:
+            break
+    assert reached == want
 
 
 def test_generic_join_plans_match_reference():

@@ -167,6 +167,60 @@ class TestBuildTrie:
         with pytest.raises(ExecutionError):
             build_trie(rel, ("z",), HASH, LeafSpec(LEAF_VEC))
 
+    # (grouped levels, the same attributes one level each)
+    GROUPINGS = (
+        ((("a", "b"),), ("a", "b")),
+        ((("a", "b", "c"),), ("a", "b", "c")),
+        ((("a", "b"), "c"), ("a", "b", "c")),
+        (("a", ("b", "c")), ("a", "b", "c")),
+        (((), "a"), ("a",)),
+        (((),), ()),
+    )
+
+    @pytest.mark.parametrize("grouped, flat", GROUPINGS)
+    @pytest.mark.parametrize("dict_kind, leaves", [
+        (HASH, (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT)),
+        (SORTED, (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_RANGE)),
+    ])
+    def test_grouped_levels_hold_the_same_paths(self, grouped, flat, dict_kind, leaves):
+        """A level keyed by a tuple of attributes holds, flattened, the same
+        key paths and leaves as one level per attribute; a sorted trie also
+        lists them in the same order.  Some relations are weighted, which
+        count leaves sum."""
+        rng = random.Random(12)
+        for _ in range(30):
+            rel = rand_sorted_relation(rng, rng.randrange(1, 40), 3, arity=3)
+            if rng.random() < 0.5:
+                rel = Relation.from_rows(
+                    "R", rel.attrs, rel.rows(), sorted_by=rel.sorted_by,
+                    weights=[rng.randrange(1, 4) for _ in range(rel.size)],
+                )
+            for kind in leaves:
+                g = build_trie(rel, grouped, dict_kind, LeafSpec(kind))
+                f = build_trie(rel, flat, dict_kind, LeafSpec(kind))
+                assert g.paths() == f.paths()
+                if dict_kind == SORTED:
+                    assert list(g.paths()) == list(f.paths())
+                assert g.insertions == f.insertions == rel.size
+
+    def test_grouped_level_keys_are_tuples(self):
+        """One lookup per row finds a tuple-keyed level's child; a hash level
+        keeps its tuples in first-seen order, a sorted one in ascending."""
+        rows = [(1, "x", 0), (2, "x", 1), (1, "y", 2), (1, "x", 3)]
+        rel = Relation.from_rows("R", ("a", "b", "c"), rows)
+        trie = build_trie(rel, (("a", "b"),), HASH, LeafSpec(LEAF_VEC))
+        assert list(trie.root.items()) == [((1, "x"), [0, 3]), ((2, "x"), [1]), ((1, "y"), [2])]
+        srt = build_trie(rel.sorted_copy(("a", "b")), (("a", "b"),), SORTED, LeafSpec(LEAF_RANGE))
+        assert srt.root.keys == [(1, "x"), (1, "y"), (2, "x")]
+        assert srt.root.find((1, "y")) == (range(2, 3), 2)
+
+    @pytest.mark.parametrize("dict_kind", (HASH, SORTED))
+    def test_grouped_level_with_an_unknown_attribute(self, dict_kind):
+        rel = Relation.from_rows("R", ("a", "b"), [(1, 2)], sorted_by=("a", "b"))
+        for levels in ((("a", "z"),), ("a", ("b", "z")), ((("a",), "b"),)):
+            with pytest.raises(ExecutionError, match="has no attribute"):
+                build_trie(rel, levels, dict_kind, LeafSpec(LEAF_VEC))
+
     @pytest.mark.parametrize(
         "rows, keys, dict_kind, leaf, message",
         [
