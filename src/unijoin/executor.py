@@ -11,11 +11,13 @@ range leaf over every row), or the keys of one trie level -- and a flat
 tuple of probes.
 
 Every node runs the same iterate-then-probe step over a batch of rows, in
-C-level passes over columns (``map``, ``compress``, ``chain``), as in
-vectorized execution (MonetDB/X100).  A batch holds a column per bound
-variable, one per trie node a later subatom starts from, and a multiplicity
-column.  The first subatom expands each row by what it iterates, repeating
-the carried columns; each probe is one lookup per row (a dict ``get``, or
+C-level passes over columns (``map``, ``compress``, ``chain``, and
+``itemgetter`` gathers, ``storage.gather``), as in vectorized execution
+(MonetDB/X100).  A batch holds a column per bound variable, one per trie
+node a later subatom starts from, and a multiplicity column.  The first
+subatom expands each row by what it iterates, repeating the carried columns;
+a leaf walk reads its bound columns and weights at a batch's offsets with
+one gather each; each probe is one lookup per row (a dict ``get``, or
 ``bisect`` on a sorted dictionary), and rows that miss are dropped before
 the next.  An expansion is cut into batches of at most ``BATCH`` rows, each
 run through the rest of the plan before the next: the rows held per node
@@ -76,8 +78,8 @@ from bisect import bisect_left, bisect_right
 # result's fold relies on it for speed and for that order.
 from collections import _count_elements
 from dataclasses import dataclass, fields
-from itertools import chain, compress, islice, repeat
-from operator import is_not, itemgetter, methodcaller, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import is_not, itemgetter, methodcaller, mul, sub
 
 from .errors import ExecutionError
 from .oracle import nested_loop
@@ -93,7 +95,7 @@ from .query import (
     liveness,
     validate_plan,
 )
-from .storage import Relation
+from .storage import Relation, gather
 from .trie import (
     HASH,
     LEAF_COUNT,
@@ -105,8 +107,8 @@ from .trie import (
     LeafSpec,
     SortedDict,
     build_trie,
-    leaf_offsets,
-    leaf_size,
+    leaves_offsets,
+    leaves_sizes,
 )
 from .trie import _MISSING
 
@@ -430,8 +432,8 @@ def execute(
     nodes = []
     for node in working.nodes:
         probes = []
-        for pos, sub in enumerate(node):
-            name = sub.relation
+        for pos, subatom in enumerate(node):
+            name = subatom.relation
             rel, root, spec, is_sorted, keyed, parts = access[name]
             idx = part[name]
             part[name] += 1
@@ -439,13 +441,15 @@ def execute(
             child = (name, idx + 1)
             if pos:
                 final = idx + 1 == parts
-                probes.append((start, root, sub.vars, is_sorted, spec if final else None, child))
+                probes.append(
+                    (start, root, subatom.vars, is_sorted, spec if final else None, child)
+                )
             elif idx == keyed:  # bind from the rows at each offset
                 cols = rel.columns
-                bind = tuple((v, cols[var_attr[(name, v)]]) for v in sub.vars)
+                bind = tuple((v, cols[var_attr[(name, v)]]) for v in subatom.vars)
                 first = (spec, start, root, bind, rel.weights, None)
             else:
-                first = (None, start, root, sub.vars, None, child)
+                first = (None, start, root, subatom.vars, None, child)
         nodes.append(first + (tuple(probes),))
 
     # A trailing run of single-subatom nodes whose iterator is terminal
@@ -507,7 +511,7 @@ def execute(
             if spec is None:
                 batch[child] = node
             else:
-                mults = list(map(mul, mults, map(leaf_size, node, repeat(spec))))
+                mults = list(map(mul, mults, leaves_sizes(node, spec)))
         return mults
 
     def finish(batch, mults):
@@ -518,17 +522,21 @@ def execute(
         least = {}
         for spec, start, root, bind, weights, _, _ in tail:
             starts = [root] * len(mults) if start is None else batch[start]
-            groups = list(map(leaf_offsets, starts, repeat(spec)))
+            groups = leaves_offsets(starts, spec)
+            sizes = list(map(len, groups))
+            if weights is not None or agg.kind == AGG_MIN:
+                get = gather(list(chain.from_iterable(groups)))
             if weights is None:
-                sizes = map(len, groups)
-            else:
-                sizes = [sum(map(weights.__getitem__, g)) for g in groups]
-            mults = list(map(mul, mults, sizes))
+                mults = list(map(mul, mults, sizes))
+            else:  # each group's weight sum, from the prefix sums at its ends
+                upto = list(accumulate(get(weights), initial=0))
+                ends = gather(list(accumulate(sizes, initial=0)))(upto)
+                mults = list(map(mul, mults, map(sub, islice(ends, 1, None), ends)))
             if agg.kind == AGG_MIN:
                 for v, col in bind:
                     if v in out_vars:
-                        least[v] = min(map(col.__getitem__, chain.from_iterable(groups)))
-                        n_min += sum(map(len, groups))
+                        least[v] = min(get(col))
+                        n_min += sum(sizes)
         total = sum(mults)
         n_out += total
         if agg.kind == AGG_COUNT:
@@ -559,7 +567,7 @@ def execute(
         spec, start, root, bind, weights, child, probes = nodes[ni]
         starts = [root] * len(mults) if start is None else batch[start]
         if spec is not None:
-            groups = list(map(leaf_offsets, starts, repeat(spec)))
+            groups = leaves_offsets(starts, spec)
             items = chain.from_iterable(groups)
         else:
             groups = starts
@@ -577,10 +585,11 @@ def execute(
             out = {key: list(islice(col, size)) for key, col in carried}
             out_mults = list(islice(mults, size))
             if spec is not None:
+                get = gather(chunk)
                 for v, col in bind:
-                    out[v] = list(map(col.__getitem__, chunk))
+                    out[v] = get(col)
                 if weights is not None:
-                    out_mults = list(map(mul, out_mults, map(weights.__getitem__, chunk)))
+                    out_mults = list(map(mul, out_mults, get(weights)))
             else:
                 keys, out[child] = zip(*chunk)
                 out.update(zip(bind, (keys,) if len(bind) == 1 else zip(*keys)))

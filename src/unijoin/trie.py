@@ -41,7 +41,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ne, or_, sub
 
 from .errors import ExecutionError, SortednessError
-from .storage import Relation
+from .storage import Relation, gather
 
 HASH = "hash"
 SORTED = "sorted"
@@ -143,6 +143,26 @@ def leaf_size(leaf, spec: LeafSpec) -> int:
     if kind == LEAF_SMALLVEC and leaf.__class__ is int:
         return 1
     return len(leaf)
+
+
+def leaves_offsets(leaves, spec: LeafSpec):
+    """``leaf_offsets`` of each of a sequence of non-count leaves, as a
+    sequence: only a ``smallvec`` leaf's bare offset needs wrapping, so
+    every other kind returns ``leaves`` itself."""
+    if spec.kind == LEAF_SMALLVEC:
+        return [(leaf,) if leaf.__class__ is int else leaf for leaf in leaves]
+    return leaves
+
+
+def leaves_sizes(leaves, spec: LeafSpec):
+    """``leaf_size`` of each of a sequence of leaves, as a sequence: a count
+    leaf's size is the leaf itself."""
+    kind = spec.kind
+    if kind == LEAF_COUNT:
+        return leaves
+    if kind == LEAF_SMALLVEC:
+        return [1 if leaf.__class__ is int else len(leaf) for leaf in leaves]
+    return list(map(len, leaves))
 
 
 def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie:
@@ -268,14 +288,14 @@ def _build_sorted(cols, leaf: LeafSpec, weights=None):
     nodes = _run_leaves(leaf.kind, lo, hi, weights)
 
     for depth in range(len(cols) - 1, 0, -1):
-        keys = list(map(cols[depth].__getitem__, starts[depth]))
+        keys = list(gather(starts[depth])(cols[depth]))
         # Index, among this depth's runs, of each run that starts a parent run.
         bounds = [0]
         bounds.extend(compress(count(1), compress(flags[depth - 1], flags[depth])))
         ends = bounds[1:]
         ends.append(len(nodes))
         nodes = [SortedDict(keys[a:b], nodes[a:b]) for a, b in zip(bounds, ends)]
-    return SortedDict(list(map(cols[0].__getitem__, starts[0])), nodes)
+    return SortedDict(list(gather(starts[0])(cols[0])), nodes)
 
 
 def _run_leaves(kind: str, lo, hi, weights=None):

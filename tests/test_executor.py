@@ -593,11 +593,14 @@ class TestWeightedRelations:
 
     R_ROWS, R_WEIGHTS = [(1, 10), (1, 20), (2, 10), (3, 30)], [2, 1, 3, 1]
     S_ROWS, S_WEIGHTS = [(10,), (20,), (30,)], [3, 1, 2]
+    T_ROWS = [(10, 1), (10, 2), (10, 3), (20, 4), (30, 5), (30, 6)]
+    T_WEIGHTS = [1, 4, 2, 3, 5, 1]
 
     def relations(self):
         weighted = {
             "R": Relation.from_rows("R", ("a", "b"), self.R_ROWS, ("a", "b"), self.R_WEIGHTS),
             "S": Relation.from_rows("S", ("a",), self.S_ROWS, ("a",), self.S_WEIGHTS),
+            "T": Relation.from_rows("T", ("a", "b"), self.T_ROWS, ("a", "b"), self.T_WEIGHTS),
         }
         expanded = {
             name: rel(name, r.attrs, [row for row, w in zip(r.rows(), r.weights)
@@ -607,16 +610,37 @@ class TestWeightedRelations:
         return weighted, expanded
 
     @pytest.mark.parametrize("head", ["x,y", "x", "", "COUNT", "MIN(y)"])
-    def test_weights_match_expanded_rows(self, head):
+    def test_weights_match_expanded_rows(self, head, monkeypatch):
+        # At one row per batch every bind and weight is gathered at a single
+        # offset, on every access path.
         q, agg = parse_query(f"Q({head}) :- R(x,y), S(y)")
         weighted, expanded = self.relations()
         reference = nested_loop(q, expanded, agg)
         assert nested_loop(q, weighted, agg) == reference
-        for plan in plans_for(q):
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            for plan in plans_for(q):
+                for policy in POLICIES:
+                    for opts in (OptConfig(), OptConfig.none(), OptConfig(o3=False)):
+                        result, _ = execute(q, plan, weighted, agg, policy, opts)
+                        assert result.matches_reference(reference), (
+                            str(plan), policy, opts, batch)
+
+    @pytest.mark.parametrize("head", ["COUNT", "MIN(x,z)"])
+    def test_factorized_tail_sums_each_rows_weights(self, head, monkeypatch):
+        """O5 sums each row's own leaf weights: a batch holds rows whose
+        tail leaves differ in size and weight.  O3 would make T(z) a count
+        leaf, so it is off in the cells that run the tail."""
+        q, agg = parse_query(f"Q({head}) :- R(x,y), T(y,z)")
+        weighted, expanded = self.relations()
+        reference = nested_loop(q, expanded, agg)
+        plan = parse_plan("R(x,y), T(y)\nT(z)")
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
             for policy in POLICIES:
-                for opts in (OptConfig(), OptConfig.none(), OptConfig(o3=False)):
+                for opts in (OptConfig(), OptConfig(o3=False), OptConfig(o3=False, o5=False)):
                     result, _ = execute(q, plan, weighted, agg, policy, opts)
-                    assert result.matches_reference(reference), (str(plan), policy, opts)
+                    assert result.matches_reference(reference), (policy, opts, batch)
 
     def test_dropped_atom_multiplies_by_total_weight(self):
         q, agg = parse_query("Q(COUNT) :- R(x,y), S(z)")

@@ -12,11 +12,56 @@ from unijoin.errors import LoadError, SchemaError, SortednessError
 from unijoin.storage import (
     BLOCK,
     Relation,
+    gather,
     gen_adversarial_triangle,
     kind_of,
     load_csv,
     select,
 )
+
+
+class TestGather:
+    """``gather(offsets)`` reads a sequence at many offsets in one call;
+    ``itemgetter`` alone would return a bare item for one offset and raise
+    for none."""
+
+    @pytest.mark.parametrize("offsets, want", [
+        ([], ()),
+        ([2], ("c",)),
+        ([3, 0], ("d", "a")),
+        ([1, 1, 4, 0, 2, 1], ("b", "b", "e", "a", "c", "b")),
+    ])
+    @pytest.mark.parametrize("seq_type", [tuple, list])
+    def test_str_values(self, offsets, want, seq_type):
+        seq = seq_type("abcde")
+        assert gather(offsets)(seq) == want
+        assert gather(tuple(offsets))(seq) == want
+
+    @pytest.mark.parametrize("offsets", [range(0), range(3, 4), range(1, 3), range(5, 0, -2)])
+    @pytest.mark.parametrize("seq_type", [tuple, list])
+    def test_range_offsets_and_int_values(self, offsets, seq_type):
+        seq = seq_type(range(10, 16))
+        got = gather(offsets)(seq)
+        assert got.__class__ is tuple
+        assert got == tuple(seq[i] for i in offsets)
+
+    def test_one_getter_serves_many_sequences(self):
+        get = gather([1])
+        assert (get((5, 6)), get(["x", "y"])) == ((6,), ("y",))
+        get = gather([1, 0])
+        assert (get((5, 6)), get(["x", "y"])) == ((6, 5), ("y", "x"))
+        with pytest.raises(IndexError):
+            gather([2])((5, 6))
+
+    @given(
+        st.one_of(st.lists(st.integers(), min_size=1), st.lists(st.text(), min_size=1)),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_item_by_item(self, values, data):
+        offsets = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=40))
+        for seq in (values, tuple(values)):
+            assert gather(offsets)(seq) == tuple(seq[i] for i in offsets)
 
 
 class TestKinds:
@@ -116,6 +161,10 @@ class TestRelation:
         assert (renamed.rows(), renamed.weights) == ([(3, "w"), (1, "x")], (7, 4))
         with pytest.raises(SortednessError):
             rel.take([3, 0])  # a permutation must name the order it sorts by
+        # One offset: ``itemgetter`` of one index returns the bare item.
+        one = rel.take([2])
+        assert (one.rows(), one.weights, one.sorted_by) == ([(2, "z")], (6,), ("a",))
+        assert one.columns["b"] == ("z",)
 
     def test_built_relation_is_immutable(self):
         # The declared order is verified once, at construction, so no

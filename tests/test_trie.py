@@ -25,6 +25,8 @@ from unijoin.trie import (
     build_trie,
     leaf_offsets,
     leaf_size,
+    leaves_offsets,
+    leaves_sizes,
 )
 
 
@@ -241,3 +243,29 @@ class TestBuildTrie:
         assert leaf_size([7, 9], LeafSpec(LEAF_SMALLVEC)) == 2  # promoted group
         assert list(leaf_offsets([7, 9], LeafSpec(LEAF_SMALLVEC))) == [7, 9]
         assert leaf_size({3: 1, 4: 1}, LeafSpec(LEAF_HASHMAP)) == 2
+
+    @pytest.mark.parametrize("dict_kind, leaves", [
+        (HASH, (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT)),
+        (SORTED, (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_RANGE)),
+    ])
+    def test_batch_leaf_helpers_match_per_leaf(self, dict_kind, leaves):
+        """``leaves_offsets`` and ``leaves_sizes`` give, leaf by leaf, what
+        ``leaf_offsets`` and ``leaf_size`` give, on tries that mix smallvec
+        singletons with larger groups, weighted ones included."""
+        rng = random.Random(13)
+        for _ in range(30):
+            rel = rand_sorted_relation(rng, rng.randrange(1, 40), 8)
+            if rng.random() < 0.5:
+                rel = Relation.from_rows(
+                    "R", rel.attrs, rel.rows(), sorted_by=rel.sorted_by,
+                    weights=[rng.randrange(1, 4) for _ in range(rel.size)],
+                )
+            for kind in leaves:
+                spec = LeafSpec(kind)
+                found = list(build_trie(rel, ("a",), dict_kind, spec).paths().values())
+                batch = found + found[::-1]  # a batch revisits leaves
+                assert list(leaves_sizes(batch, spec)) == [leaf_size(x, spec) for x in batch]
+                if kind != LEAF_COUNT:
+                    got = leaves_offsets(batch, spec)
+                    assert len(got) == len(batch)
+                    assert [list(g) for g in got] == [list(leaf_offsets(x, spec)) for x in batch]
