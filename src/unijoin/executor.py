@@ -13,20 +13,23 @@ tuple of probes.
 Every node runs the same iterate-then-probe step over a batch of rows, in
 C-level passes over columns (``map``, ``compress``, ``chain``, and
 ``itemgetter`` gathers, ``storage.gather``), as in vectorized execution
-(MonetDB/X100).  A batch holds a column per bound variable, one per trie
-node a later subatom starts from, and a multiplicity column.  The first
-subatom expands each row by what it iterates, repeating the carried columns;
-a leaf walk reads its bound columns and weights at a batch's offsets with
-one gather each; each probe is one lookup per row (a dict ``get``, or
-``bisect`` on a sorted dictionary), and rows that miss are dropped before
-the next.  An expansion is cut into batches of at most ``BATCH`` rows, each
-run through the rest of the plan before the next: the rows held per node
-stay bounded however far a join fans out, and results arrive in the order a
+(MonetDB/X100).  A batch holds a column per bound variable and one per
+trie node a later subatom starts from; it holds a multiplicity column only
+once some row can count more than once (a weighted leaf walk, a probe-only
+group larger than one, O3's multiplier or O5's tail), and otherwise carries
+just its row count.  The first subatom expands each row by what it
+iterates, repeating the carried columns; a leaf walk reads its bound
+columns and weights at a batch's offsets with one gather each; each probe
+is one lookup per row (a dict ``get``, or ``bisect`` on a sorted
+dictionary), and rows that miss are dropped before the next.  An
+expansion is cut into batches of at most ``BATCH`` rows, each run through
+the rest of the plan before the next: the rows held per node stay bounded
+however far a join fans out, and results arrive in the order a
 row-at-a-time nested loop emits them, walking a hash level's keys (key
 tuples too) in first-seen order and a sorted level's in ascending order.
 ``count`` sums a batch's multiplicities, ``min`` takes a per-column minimum,
 and a full result adds the batch's rows to its bag, in first-seen order: by
-C-level counting when every multiplicity is 1, else row by row.  Every run
+C-level counting when every row counts once, else row by row.  Every run
 counter (probes, hits, comparisons, intermediates, outputs and min
 operations) is a local int added to ``ExecStats`` once per execution, and
 counts what a row-at-a-time loop would, whatever the batch size; a probe
@@ -49,7 +52,14 @@ weight: a leaf walk, a scan's included, multiplies the multiplicity by the
 row's weight, a count leaf sums the weights, and a weighted relation that is
 only probed always gets a count leaf, since a list of offsets would lose the
 weights.  ``execute_bushy`` hands each materialized stage on as a weighted
-relation of its distinct tuples.
+relation of its distinct tuples, together with the bag it was made from.  A
+later stage that probes it on its whole tuple of two or more attributes,
+under hash dictionaries with count leaves, probes that bag as the trie's one
+level instead of building it: the build would make the same dict, the same
+keys in the same first-seen order, each mapped to its weight.  A sorted
+trie, a stage that a node walks, a level keyed by only some attributes and
+a one-attribute stage (whose level holds bare values, not 1-tuples) are
+built as before.
 
 A plan whose root node walks trie keys (a generic-join intersection) is
 semijoin-reduced before any trie is built (Yannakakis, VLDB 1981): for each
@@ -335,13 +345,16 @@ def execute(
     policy: StructurePolicy | None = None,
     opts: OptConfig | None = None,
     stats: ExecStats | None = None,
-    intermediate_names: frozenset = frozenset(),
+    intermediates: dict | None = None,
 ):
     """Run one plan over the given relations.
 
     Returns ``(ResultBag, ExecStats)``.  ``stats`` may be passed in to
-    accumulate counters across several executions.
+    accumulate counters across several executions.  ``intermediates`` maps
+    each relation a bushy stage materialized to the bag it was made from.
     """
+    if intermediates is None:
+        intermediates = {}
     if policy is None:
         policy = StructurePolicy()
     if opts is None:
@@ -410,10 +423,21 @@ def execute(
                 rel, tuple(chain.from_iterable(levels)), keyed == len(subs), policy, opts
             )
             stats.sort_ops += sorted_copy
-            trie = build_trie(rel, [a[0] if len(a) == 1 else a for a in levels], dict_kind, spec)
-            stats.trie_build_insertions += trie.insertions
-            stats.deep_intermediate_tries += name in intermediate_names
-            root, is_sorted = trie.root, dict_kind == SORTED
+            bag = intermediates.get(name)
+            # A stage's bag is the hash level of its whole tuples with count
+            # leaves: distinct keys in first-seen order, each mapped to its
+            # weight.  A one-attribute stage's level holds bare values, and a
+            # semijoin reduction would have cut rows from the relation.
+            if (bag is not None and dict_kind == HASH and spec.kind == LEAF_COUNT
+                    and levels == [rel.attrs] and len(rel.attrs) > 1 and len(bag) == rel.size):
+                root = bag
+                stats.trie_build_insertions += rel.size
+            else:
+                trie = build_trie(rel, [a[0] if len(a) == 1 else a for a in levels], dict_kind, spec)
+                stats.trie_build_insertions += trie.insertions
+                root = trie.root
+            stats.deep_intermediate_tries += bag is not None
+            is_sorted = dict_kind == SORTED
         else:
             root, spec, is_sorted = range(rel.size), LeafSpec(LEAF_RANGE), False
         access[name] = (rel, root, spec, is_sorted, keyed, len(subs))
@@ -478,14 +502,13 @@ def execute(
     count = 0
     minima: list | None = None
 
-    def probe(batch, mults, probes):
-        """Run ``probes`` in order over a batch, one lookup per row each,
-        dropping a row that misses.  Stores the trie nodes reached in the
-        batch and returns the multiplicities times the probe-only group
-        sizes, or None when no row is left."""
+    def probe(batch, mults, n, probes):
+        """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
+        row each, dropping a row that misses.  Stores the trie nodes reached
+        in the batch and returns the multiplicities times the probe-only
+        group sizes (None while every row counts once) and the rows left."""
         nonlocal n_probes, n_hits, n_comps
         for start, root, pvars, is_sorted, spec, child in probes:
-            n = len(mults)
             node = repeat(root, n) if start is None else batch[start]
             if len(pvars) == 1:
                 keys = batch[pvars[0]]
@@ -501,71 +524,79 @@ def execute(
             miss = node.count(_MISSING)
             n_hits += n - miss
             if miss == n:
-                return None
+                return None, 0
             if miss:
                 keep = list(map(is_not, node, repeat(_MISSING)))
                 for key, col in batch.items():
                     batch[key] = list(compress(col, keep))
-                mults = list(compress(mults, keep))
+                if mults is not None:
+                    mults = list(compress(mults, keep))
                 node = list(compress(node, keep))
+                n -= miss
             if spec is None:
                 batch[child] = node
             else:
-                mults = list(map(mul, mults, leaves_sizes(node, spec)))
-        return mults
+                sizes = leaves_sizes(node, spec)
+                if mults is not None:
+                    mults = list(map(mul, mults, sizes))
+                elif sizes.count(1) != n:
+                    mults = sizes
+        return mults, n
 
-    def finish(batch, mults):
-        """Fold a batch of satisfying rows into the result.  The factorized
-        tail multiplies each row by its leaves' sizes (or weights) and, for
-        ``min``, folds in each leaf's least value instead of walking it."""
+    def finish(batch, mults, n):
+        """Fold a batch of ``n`` satisfying rows into the result.  The
+        factorized tail multiplies each row by its leaves' sizes (or
+        weights) and, for ``min``, folds in each leaf's least value instead
+        of walking it."""
         nonlocal count, minima, n_out, n_min
         least = {}
         for spec, start, root, bind, weights, _, _ in tail:
-            starts = [root] * len(mults) if start is None else batch[start]
+            starts = [root] * n if start is None else batch[start]
             groups = leaves_offsets(starts, spec)
             sizes = list(map(len, groups))
             if weights is not None or agg.kind == AGG_MIN:
                 get = gather(list(chain.from_iterable(groups)))
-            if weights is None:
-                mults = list(map(mul, mults, sizes))
-            else:  # each group's weight sum, from the prefix sums at its ends
+            counts = sizes
+            if weights is not None:  # each group's weight sum, from the prefix sums at its ends
                 upto = list(accumulate(get(weights), initial=0))
                 ends = gather(list(accumulate(sizes, initial=0)))(upto)
-                mults = list(map(mul, mults, map(sub, islice(ends, 1, None), ends)))
+                counts = list(map(sub, islice(ends, 1, None), ends))
+            mults = counts if mults is None else list(map(mul, mults, counts))
             if agg.kind == AGG_MIN:
                 for v, col in bind:
                     if v in out_vars:
                         least[v] = min(get(col))
                         n_min += sum(sizes)
-        total = sum(mults)
+        total = n if mults is None else sum(mults)
         n_out += total
         if agg.kind == AGG_COUNT:
             count += total
         elif agg.kind == AGG_MIN:
             vals = [least[v] if v in least else min(batch[v]) for v in out_vars]
             minima = vals if minima is None else list(map(min, minima, vals))
-            n_min += len(out_vars) * len(mults)
+            n_min += len(out_vars) * n
         else:
-            rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat((), len(mults))
-            if mults.count(1) == len(mults):
+            rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat((), n)
+            if mults is None or mults.count(1) == n:
                 _count_elements(bag, rows)
             else:
                 get = bag.get
                 for row, mult in zip(rows, mults):
                     bag[row] = get(row, 0) + mult
 
-    def run(ni: int, batch: dict, mults: list):
-        """Expand a batch by node ``ni``'s first subatom -- each row by its
-        leaf's row offsets, or by the (key, child) pairs of one trie level,
-        a key tuple unzipped into a column per variable -- then probe the
-        other subatoms and recurse, at most ``BATCH`` rows at a time and in
-        row order."""
+    def run(ni: int, batch: dict, mults, n: int):
+        """Expand a batch of ``n`` rows by node ``ni``'s first subatom --
+        each row by its leaf's row offsets, or by the (key, child) pairs of
+        one trie level, a key tuple unzipped into a column per variable --
+        then probe the other subatoms and recurse, at most ``BATCH`` rows at
+        a time and in row order.  ``mults`` is None while every row counts
+        once."""
         nonlocal n_inter
         if ni == suffix_start:
-            finish(batch, mults)
+            finish(batch, mults, n)
             return
         spec, start, root, bind, weights, child, probes = nodes[ni]
-        starts = [root] * len(mults) if start is None else batch[start]
+        starts = [root] * n if start is None else batch[start]
         if spec is not None:
             groups = leaves_offsets(starts, spec)
             items = chain.from_iterable(groups)
@@ -578,27 +609,29 @@ def execute(
             n_inter += total
         carried = [(key, chain.from_iterable(map(repeat, col, sizes)))
                    for key, col in batch.items() if key in needed[ni]]
-        mults = chain.from_iterable(map(repeat, mults, sizes))
+        if mults is not None:
+            mults = chain.from_iterable(map(repeat, mults, sizes))
         size = BATCH
         for _ in range(0, total, size):
             chunk = list(islice(items, size))
             out = {key: list(islice(col, size)) for key, col in carried}
-            out_mults = list(islice(mults, size))
+            out_mults = None if mults is None else list(islice(mults, size))
             if spec is not None:
                 get = gather(chunk)
                 for v, col in bind:
                     out[v] = get(col)
                 if weights is not None:
-                    out_mults = list(map(mul, out_mults, get(weights)))
+                    w = get(weights)
+                    out_mults = w if out_mults is None else list(map(mul, out_mults, w))
             else:
                 keys, out[child] = zip(*chunk)
                 out.update(zip(bind, (keys,) if len(bind) == 1 else zip(*keys)))
-            out_mults = probe(out, out_mults, probes)
-            if out_mults is not None:
-                run(ni + 1, out, out_mults)
+            out_mults, m = probe(out, out_mults, len(chunk), probes)
+            if m:
+                run(ni + 1, out, out_mults, m)
 
     t1 = time.perf_counter()
-    run(0, {}, [multiplier])
+    run(0, {}, None if multiplier == 1 else [multiplier], 1)
     stats.exec_ms += (time.perf_counter() - t1) * 1000.0
     stats.probes += n_probes
     stats.probe_hits += n_hits
@@ -622,7 +655,9 @@ def execute_bushy(
 
     Each non-root stage materializes its sub-join as a fresh in-memory
     relation that later stages treat like any base relation: one row per
-    distinct tuple, weighted by its multiplicity.
+    distinct tuple, weighted by its multiplicity.  Its bag goes along, so a
+    later stage that probes it on its whole tuple reads the bag instead of
+    building a trie over it.
     """
     stats = ExecStats()
     stages = decompose_bushy(q, tree, agg)
@@ -634,21 +669,19 @@ def execute_bushy(
         for sub_q, stage in zip(sub_qs, stages)
     ]
     rels = dict(relations)
-    made: set[str] = set()
+    bags: dict[str, dict] = {}
     for stage, sub_q, plan in zip(stages, sub_qs, plans):
         result, _ = execute(
             sub_q, plan, rels, agg if stage.target is None else AggregationSpec(),
-            policy, opts, stats,
-            intermediate_names=frozenset(made),
+            policy, opts, stats, bags,
         )
         if stage.target is None:
             return result, stats
-        bag = result.tuples
+        bag = bags[stage.target] = result.tuples
         stats.intermediate_tuples += len(bag)
         rels[stage.target] = Relation.from_rows(
             stage.target, stage.out_vars, bag, weights=bag.values()
         )
-        made.add(stage.target)
     raise ExecutionError("bushy decomposition produced no root stage")
 
 

@@ -43,6 +43,7 @@ from unijoin.trie import (
     LEAF_RANGE,
     LEAF_SMALLVEC,
     SORTED,
+    LeafSpec,
     build_trie,
 )
 
@@ -658,6 +659,77 @@ class TestWeightedRelations:
             assert spec.kind == LEAF_COUNT, mode
 
 
+class TestMultiplicityEntries:
+    """A batch carries no multiplicity column while every row counts once;
+    each way a row can come to count more than once must start one.  Every
+    relation is sorted and declares it, so all three policies walk rows in
+    the order a nested loop reads them, and a full result's tuples must
+    come out in that order too."""
+
+    ROWS = {
+        "R": (("a", "b"), [(1, 10), (1, 20), (2, 10), (3, 30), (4, 40)], [2, 1, 3, 1, 1]),
+        "S": (("a", "b"), [(10, 1), (10, 2), (20, 3), (30, 4), (30, 5)], [1, 4, 2, 3, 1]),
+        "D": (("a",), [(10,), (10,), (20,), (30,)], None),  # a group of 2
+        "U": (("a",), [(10,), (20,), (40,)], None),  # groups of 1 only
+        "W": (("a",), [(7,), (8,)], [2, 3]),  # total weight 5
+    }
+
+    # (query, plan or None for the binary plan, weighted relations, opts)
+    CASES = {
+        "weighted scan": ("Q(x,y,z) :- R(x,y), S(y,z)", None, "R", (OptConfig(),)),
+        "weighted leaf walk": ("Q(x,y,z) :- R(x,y), S(y,z)", None, "S", (OptConfig(),)),
+        "count leaf of a group of 2": (
+            "Q(x,y) :- R(x,y), D(y)", None, "",
+            (OptConfig(), OptConfig(o4=False), OptConfig.none()),
+        ),
+        "count leaf of groups of 1": (
+            "Q(x,y) :- R(x,y), U(y)", None, "",
+            (OptConfig(), OptConfig(o4=False), OptConfig.none()),
+        ),
+        "O3 multiplier": (
+            "Q(x,y) :- R(x,y), W(z)", "R(x,y)\nW(z)", "W", (OptConfig(), OptConfig(o3=False)),
+        ),
+        "O3 multiplier under COUNT": (
+            "Q(COUNT) :- R(x,y), W(z)", "R(x,y)\nW(z)", "W", (OptConfig(), OptConfig(o5=False)),
+        ),
+        "O5 COUNT tail": (
+            "Q(COUNT) :- R(x,y), S(y,z)", "R(x,y), S(y)\nS(z)", "",
+            (OptConfig(o3=False), OptConfig(o3=False, o5=False)),
+        ),
+        "O5 weighted COUNT tail": (
+            "Q(COUNT) :- R(x,y), S(y,z)", "R(x,y), S(y)\nS(z)", "S",
+            (OptConfig(o3=False), OptConfig(o3=False, o5=False)),
+        ),
+        "O5 MIN tail": (
+            "Q(MIN(x,z)) :- R(x,y), S(y,z)", "R(x,y), S(y)\nS(z)", "RS",
+            (OptConfig(), OptConfig(o5=False)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_nested_loop(self, case, monkeypatch):
+        text, plan_text, weighted, all_opts = self.CASES[case]
+        q, agg = parse_query(text)
+        rels = {
+            name: Relation.from_rows(name, attrs, rows, sorted_by=attrs,
+                                     weights=weights if name in weighted else None)
+            for name, (attrs, rows, weights) in self.ROWS.items()
+        }
+        reference = nested_loop(q, rels, agg)
+        assert reference not in ({}, 0, None)
+        plan = convert_left_deep(q, [a.relation for a in q.atoms]) if plan_text is None \
+            else parse_plan(plan_text)
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            for policy in POLICIES:
+                for opts in all_opts:
+                    result, _ = execute(q, plan, rels, agg, policy, opts)
+                    where = (batch, policy.mode, opts.label())
+                    assert result.matches_reference(reference), where
+                    if result.kind == AGG_FULL:
+                        assert list(result.tuples.items()) == list(reference.items()), where
+
+
 class TestBagFold:
     """A full result folds each batch into its bag: a batch whose
     multiplicities are all 1 by C-level counting, any other row by row.
@@ -876,3 +948,67 @@ class TestBushyExecution:
             assert stage.total_weight == 22
             assert (stats.trie_build_insertions, stats.intermediate_tuples) == (23, 51)
             assert (stats.probes, stats.output_tuples) == (38, 72)
+
+    def test_stage_bag_is_probed_not_rebuilt(self, monkeypatch):
+        """The 4-cycle's root stage probes _I1(c, a) on its whole tuple.
+        Under hash dictionaries with count leaves that level is the stage's
+        bag itself, so the bag is probed and _I1 is never built; its rows
+        still count as insertions.  Sorted dictionaries, and a root that
+        walks _I1 (head ``a,b,c,d``), build it as before."""
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        edges = [(0, 1), (0, 1), (1, 2), (2, 0), (2, 0), (2, 0), (1, 0), (0, 2)]
+        rels = {n: Relation.from_rows(n, ("u", "v"), edges) for n in ("R", "S", "T", "U")}
+        built, made = [], []
+        from_rows = Relation.__dict__["from_rows"].__func__
+
+        def spy(rel_, attrs, dict_kind, spec):
+            built.append(rel_.name)
+            return build_trie(rel_, attrs, dict_kind, spec)
+
+        def spy_rows(cls, *args, **kwargs):
+            made.append(from_rows(cls, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(executor, "build_trie", spy)
+        monkeypatch.setattr(Relation, "from_rows", classmethod(spy_rows))
+        for head, policy, handed in (
+            ("COUNT", "hash", True), ("COUNT", "hybrid", True), ("COUNT", "sorted", False),
+            ("a,b,c,d", "hash", False), ("a,b,c,d", "hybrid", False),
+        ):
+            q, agg = parse_query(f"Q({head}) :- R(a,b), S(b,c), T(c,d), U(d,a)")
+            for opts in (OptConfig(), OptConfig.none()):
+                built.clear()
+                made.clear()
+                result, stats = execute_bushy(q, tree, rels, agg, StructurePolicy(policy), opts)
+                assert result.matches_reference(nested_loop(q, rels, agg))
+                assert sorted(built) == (["S", "U"] if handed else ["S", "U", "_I1"]), (
+                    head, policy, opts.label())
+                assert stats.deep_intermediate_tries == 1
+        # The level the build would make is the bag: same keys in the same
+        # order, each mapped to its weight.
+        stage = next(r for r in made if r.name == "_I1")
+        trie = build_trie(stage, [stage.attrs], HASH, LeafSpec(LEAF_COUNT))
+        assert list(trie.root.items()) == list(zip(stage.rows(), stage.weights))
+
+    def test_one_attribute_stage_is_built(self, monkeypatch):
+        # _I1 = S join T keeps b alone, whose level holds bare values where
+        # the bag holds 1-tuples.
+        q, agg = parse_query("Q(COUNT) :- R(a,b), S(b,c), T(c)")
+        tree = parse_bushy("(R(a,b) (S(b,c) T(c)))")
+        rels = {
+            "R": rel("R", ("x", "y"), [(1, 1), (2, 1), (3, 2)]),
+            "S": rel("S", ("x", "y"), [(1, 5), (1, 6), (2, 5), (3, 7)]),
+            "T": rel("T", ("x",), [(5,), (6,), (6,)]),
+        }
+        built = []
+
+        def spy(rel_, attrs, dict_kind, spec):
+            built.append((rel_.name, tuple(attrs)))
+            return build_trie(rel_, attrs, dict_kind, spec)
+
+        monkeypatch.setattr(executor, "build_trie", spy)
+        for policy in POLICIES:
+            built.clear()
+            result, stats = execute_bushy(q, tree, rels, agg, policy)
+            assert result.count == nested_loop(q, rels, agg) == 7
+            assert ("_I1", ("b",)) in built and stats.deep_intermediate_tries == 1

@@ -562,26 +562,48 @@ def test_bisect_reduction_matches_scan(case):
             assert out["K"] is rels["K"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_random_bushy_trees_match_reference(data):
+def test_random_bushy_trees_match_reference():
     # Every relation that has rows repeats some of them, so the
     # materialized stages carry multiplicities, whether or not the base
-    # relations are weighted too; COUNT is always checked.
-    schema = data.draw(st.sampled_from(SCHEMAS))
-    rels = data.draw(fuzz_relations(schema, min_repeats=1))
-    kinds = ("count", data.draw(st.sampled_from(("full", "proj", "min"))))
-    queries = [parse_query(data.draw(fuzz_query(schema, (kind,)))) for kind in kinds]
-    tree = data.draw(fuzz_tree(list(queries[0][0].atoms)))
-    for q, agg in queries:
-        reference = nested_loop(q, _expanded(rels), agg)
-        for batch in BATCHES:
-            with mock.patch.object(executor, "BATCH", batch):
+    # relations are weighted too; COUNT is always checked.  A stage that a
+    # later stage probes on its whole tuple, under hash dictionaries with
+    # count leaves, is probed through its bag and never built; some example
+    # must reach that hand-off.  In 17 rounds of 60 examples, one round
+    # never reached it; up to three rounds run, each drawing anew.
+    handed = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        schema = data.draw(st.sampled_from(SCHEMAS))
+        rels = data.draw(fuzz_relations(schema, min_repeats=1))
+        kinds = ("count", data.draw(st.sampled_from(("full", "proj", "min"))))
+        queries = [parse_query(data.draw(fuzz_query(schema, (kind,)))) for kind in kinds]
+        tree = data.draw(fuzz_tree(list(queries[0][0].atoms)))
+        for q, agg in queries:
+            reference = nested_loop(q, _expanded(rels), agg)
+            for batch in BATCHES:
                 for policy, opts in STRATEGIES:
-                    result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
+                    built = []
+
+                    def spy(rel, levels, dict_kind, spec):
+                        built.append(rel.name)
+                        return build_trie(rel, levels, dict_kind, spec)
+
+                    with mock.patch.object(executor, "BATCH", batch), \
+                            mock.patch.object(executor, "build_trie", spy):
+                        result, stats = execute_bushy(q, tree, rels, agg, policy, opts)
                     assert result.matches_reference(reference), (
                         policy.mode, opts.label(), batch, agg
                     )
+                    if stats.deep_intermediate_tries > sum(n.startswith("_I") for n in built):
+                        handed.add(policy.mode)
+
+    for _ in range(3):
+        check()
+        if handed:
+            break
+    assert handed and "sorted" not in handed
 
 
 @settings(
