@@ -13,29 +13,29 @@ tuple of probes.
 Every node runs the same iterate-then-probe step over a batch of rows, in
 C-level passes over columns (``map``, ``compress``, ``chain``, and
 ``itemgetter`` gathers, ``storage.gather``), as in vectorized execution
-(MonetDB/X100).  A batch holds a column per bound variable and one per
-trie node a later subatom starts from; it holds a multiplicity column only
-once some row can count more than once (a weighted leaf walk, a probe-only
-group larger than one, O3's multiplier or O5's tail), and otherwise carries
-just its row count.  The first subatom expands each row by what it
-iterates, repeating the carried columns; a leaf walk reads its bound
-columns and weights at a batch's offsets with one gather each; each probe
-is one lookup per row (a dict ``get``, or ``bisect`` on a sorted
-dictionary), and rows that miss are dropped before the next.  An
-expansion is cut into batches of at most ``BATCH`` rows, each run through
-the rest of the plan before the next: the rows held per node stay bounded
-however far a join fans out, and results arrive in the order a
-row-at-a-time nested loop emits them, walking a hash level's keys (key
-tuples too) in first-seen order and a sorted level's in ascending order.
-``count`` sums a batch's multiplicities, ``min`` takes a per-column minimum,
-and a full result adds the batch's rows to its bag, in first-seen order: by
-C-level counting when every row counts once, else row by row.  Every run
-counter (probes, hits, comparisons, intermediates, outputs and min
-operations) is a local int added to ``ExecStats`` once per execution, and
-counts what a row-at-a-time loop would, whatever the batch size; a probe
-counts one lookup per row per probe subatom.  The build counters are added
-once per trie; a sorted lookup over k keys counts ``k.bit_length()``
-comparisons.
+(MonetDB/X100).  A batch is one dict of columns: one per bound variable,
+one per trie node a later subatom starts from and, once some row can count
+more than once (a weighted leaf walk, a probe-only group larger than one,
+O3's multiplier or O5's tail), a multiplicity column under a reserved key
+that no variable can equal.  Every column, that one too, is repeated,
+compressed and sliced alike.  The first subatom expands each row by what
+it iterates; a leaf walk reads its bound columns and weights at a batch's
+offsets with one gather each; each probe is one lookup per row (a dict
+``get``, or ``bisect`` on a sorted dictionary), and rows that miss are
+dropped before the next.  An expansion is cut into batches of at most
+``BATCH`` rows, each run through the rest of the plan before the next: the
+rows held per node stay bounded however far a join fans out, and results
+arrive in the order a row-at-a-time nested loop emits them, walking a hash
+level's keys (key tuples too) in first-seen order and a sorted level's in
+ascending order.  Each batch adds its run counters (probes, hits,
+comparisons, intermediates, outputs and min operations) to ``ExecStats``
+and folds its rows into the ``ResultBag``: ``count`` sums the
+multiplicities, ``min`` takes a per-column minimum, and a full result adds
+the rows to its bag in first-seen order, by C-level counting when every row
+counts once.  The counters count what a row-at-a-time loop would, whatever
+the batch size; a probe counts one lookup per row per probe subatom.  The
+build counters are added once per trie; a sorted lookup over k keys counts
+``k.bit_length()`` comparisons.
 
 Optimization toggles:
 
@@ -129,6 +129,10 @@ POLICY_HYBRID = "hybrid"
 # Rows per batch: each plan node runs over at most this many rows at once,
 # so the rows held per node stay bounded however far a join fans out.
 BATCH = 1024
+
+# A batch's key for its multiplicity column: no variable and no trie-node
+# column ``(atom, part)`` can equal it.
+_MULT = object()
 
 
 @dataclass(frozen=True)
@@ -250,14 +254,14 @@ class ResultBag:
         return self.tuples == reference
 
 
-def _result(agg: AggregationSpec, out_vars, tuples=None, count=0, minima=None) -> ResultBag:
-    """The ``ResultBag`` of ``agg``'s kind over ``out_vars``; the defaults
-    are the result of an empty join."""
+def _result(agg: AggregationSpec, out_vars) -> ResultBag:
+    """The ``ResultBag`` of ``agg``'s kind over ``out_vars`` for an empty
+    join, which a run folds its batches into."""
     if agg.kind == AGG_COUNT:
-        return ResultBag(AGG_COUNT, count=count)
+        return ResultBag(AGG_COUNT, count=0)
     if agg.kind == AGG_MIN:
-        return ResultBag(AGG_MIN, out_vars, minima=minima)
-    return ResultBag(AGG_FULL, out_vars, {} if tuples is None else tuples)
+        return ResultBag(AGG_MIN, out_vars)
+    return ResultBag(AGG_FULL, out_vars, {})
 
 
 def _semijoin_reduce(node, relations, var_attr):
@@ -372,10 +376,11 @@ def execute(
             )
 
     out_vars = agg.output(q)
+    result = _result(agg, out_vars)
 
     # An empty relation anywhere empties a conjunctive join.
     if any(relations[a.relation].size == 0 for a in q.atoms):
-        return _result(agg, out_vars), stats
+        return result, stats
 
     var_attr = {}  # (relation, var) -> attribute, from the original atoms
     for a in q.atoms:
@@ -388,7 +393,7 @@ def execute(
     for (name, v), attr in var_attr.items():
         kind = relations[name].kind(attr)
         if var_kind.setdefault(v, kind) != kind:
-            return _result(agg, out_vars), stats
+            return result, stats
 
     multiplier = 1
     working = plan
@@ -405,7 +410,7 @@ def execute(
         relations = _semijoin_reduce(working.nodes[0], relations, var_attr)
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
-            return _result(agg, out_vars), stats
+            return result, stats
     # One access record per atom: (relation, root, leaf spec, is_sorted,
     # keyed parts, parts).  The first ``keyed`` parts descend a level each; a
     # last part that a node iterates first walks the leaf offsets (a scan
@@ -489,66 +494,60 @@ def execute(
     tail = nodes[suffix_start:]
 
     # The columns that node ``ni``'s probes, a later node or the result
-    # read: an expansion carries only those of its batch.
-    live = set(out_vars).union(start for _, start, _, _, _, _, _ in tail)
+    # read, and the multiplicities: an expansion carries only those.
+    live = {_MULT, *out_vars}.union(start for _, start, _, _, _, _, _ in tail)
     needed = [None] * suffix_start
     for ni in range(suffix_start - 1, -1, -1):
         _, start, _, _, _, _, probes = nodes[ni]
         needed[ni] = live = live | {key for p in probes for key in (p[0], *p[2])}
         live = live | {start}
 
-    n_probes = n_hits = n_comps = n_inter = n_out = n_min = 0
-    bag: dict[tuple, int] = {}
-    count = 0
-    minima: list | None = None
-
-    def probe(batch, mults, n, probes):
+    def probe(batch, n, probes):
         """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
-        row each, dropping a row that misses.  Stores the trie nodes reached
-        in the batch and returns the multiplicities times the probe-only
-        group sizes (None while every row counts once) and the rows left."""
-        nonlocal n_probes, n_hits, n_comps
+        row each, dropping a row that misses from every column, and return
+        the rows left.  A probe adds the trie nodes it reaches to the batch
+        as a column, or, for a probe-only part, multiplies the multiplicity
+        column by the group sizes.  Lookups, hits and comparisons go to
+        ``ExecStats`` per probe."""
         for start, root, pvars, is_sorted, spec, child in probes:
             node = repeat(root, n) if start is None else batch[start]
             if len(pvars) == 1:
                 keys = batch[pvars[0]]
             else:  # a tuple per row, the empty one for no variable
                 keys = zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
-            n_probes += n
+            stats.probes += n
             if is_sorted:
                 found = list(map(SortedDict.find, node, keys))
-                n_comps += sum(map(itemgetter(1), found))
+                stats.comparisons += sum(map(itemgetter(1), found))
                 node = list(map(itemgetter(0), found))
             else:
                 node = list(map(dict.get, node, keys, repeat(_MISSING)))
             miss = node.count(_MISSING)
-            n_hits += n - miss
+            stats.probe_hits += n - miss
             if miss == n:
-                return None, 0
+                return 0
             if miss:
                 keep = list(map(is_not, node, repeat(_MISSING)))
                 for key, col in batch.items():
                     batch[key] = list(compress(col, keep))
-                if mults is not None:
-                    mults = list(compress(mults, keep))
                 node = list(compress(node, keep))
                 n -= miss
             if spec is None:
                 batch[child] = node
             else:
                 sizes = leaves_sizes(node, spec)
-                if mults is not None:
-                    mults = list(map(mul, mults, sizes))
+                if _MULT in batch:
+                    batch[_MULT] = list(map(mul, batch[_MULT], sizes))
                 elif sizes.count(1) != n:
-                    mults = sizes
-        return mults, n
+                    batch[_MULT] = sizes
+        return n
 
-    def finish(batch, mults, n):
-        """Fold a batch of ``n`` satisfying rows into the result.  The
-        factorized tail multiplies each row by its leaves' sizes (or
-        weights) and, for ``min``, folds in each leaf's least value instead
-        of walking it."""
-        nonlocal count, minima, n_out, n_min
+    def finish(batch, n):
+        """Fold a batch of ``n`` satisfying rows into the ``ResultBag`` and
+        its outputs into ``ExecStats``.  The factorized tail multiplies each
+        row by its leaves' sizes (or weights) and, for ``min``, folds in each
+        leaf's least value instead of walking it."""
+        mults = batch.get(_MULT)
         least = {}
         for spec, start, root, bind, weights, _, _ in tail:
             starts = [root] * n if start is None else batch[start]
@@ -566,16 +565,18 @@ def execute(
                 for v, col in bind:
                     if v in out_vars:
                         least[v] = min(get(col))
-                        n_min += sum(sizes)
+                        stats.min_ops += sum(sizes)
         total = n if mults is None else sum(mults)
-        n_out += total
+        stats.output_tuples += total
         if agg.kind == AGG_COUNT:
-            count += total
+            result.count += total
         elif agg.kind == AGG_MIN:
             vals = [least[v] if v in least else min(batch[v]) for v in out_vars]
-            minima = vals if minima is None else list(map(min, minima, vals))
-            n_min += len(out_vars) * n
+            minima = result.minima
+            result.minima = tuple(vals) if minima is None else tuple(map(min, minima, vals))
+            stats.min_ops += len(out_vars) * n
         else:
+            bag = result.tuples
             rows = zip(*map(batch.__getitem__, out_vars)) if out_vars else repeat((), n)
             if mults is None or mults.count(1) == n:
                 _count_elements(bag, rows)
@@ -584,16 +585,16 @@ def execute(
                 for row, mult in zip(rows, mults):
                     bag[row] = get(row, 0) + mult
 
-    def run(ni: int, batch: dict, mults, n: int):
+    def run(ni: int, batch: dict, n: int):
         """Expand a batch of ``n`` rows by node ``ni``'s first subatom --
         each row by its leaf's row offsets, or by the (key, child) pairs of
         one trie level, a key tuple unzipped into a column per variable --
         then probe the other subatoms and recurse, at most ``BATCH`` rows at
-        a time and in row order.  ``mults`` is None while every row counts
-        once."""
-        nonlocal n_inter
+        a time and in row order.  ``batch`` is one dict of columns, the
+        multiplicities under ``_MULT`` once some row counts more than once;
+        each expansion adds its intermediates to ``ExecStats``."""
         if ni == suffix_start:
-            finish(batch, mults, n)
+            finish(batch, n)
             return
         spec, start, root, bind, weights, child, probes = nodes[ni]
         starts = [root] * n if start is None else batch[start]
@@ -606,41 +607,31 @@ def execute(
         sizes = list(map(len, groups))
         total = sum(sizes)
         if ni:
-            n_inter += total
+            stats.intermediate_tuples += total
         carried = [(key, chain.from_iterable(map(repeat, col, sizes)))
                    for key, col in batch.items() if key in needed[ni]]
-        if mults is not None:
-            mults = chain.from_iterable(map(repeat, mults, sizes))
         size = BATCH
         for _ in range(0, total, size):
             chunk = list(islice(items, size))
             out = {key: list(islice(col, size)) for key, col in carried}
-            out_mults = None if mults is None else list(islice(mults, size))
             if spec is not None:
                 get = gather(chunk)
                 for v, col in bind:
                     out[v] = get(col)
                 if weights is not None:
                     w = get(weights)
-                    out_mults = w if out_mults is None else list(map(mul, out_mults, w))
+                    out[_MULT] = list(map(mul, out[_MULT], w)) if _MULT in out else w
             else:
                 keys, out[child] = zip(*chunk)
                 out.update(zip(bind, (keys,) if len(bind) == 1 else zip(*keys)))
-            out_mults, m = probe(out, out_mults, len(chunk), probes)
+            m = probe(out, len(chunk), probes)
             if m:
-                run(ni + 1, out, out_mults, m)
+                run(ni + 1, out, m)
 
     t1 = time.perf_counter()
-    run(0, {}, None if multiplier == 1 else [multiplier], 1)
+    run(0, {} if multiplier == 1 else {_MULT: [multiplier]}, 1)
     stats.exec_ms += (time.perf_counter() - t1) * 1000.0
-    stats.probes += n_probes
-    stats.probe_hits += n_hits
-    stats.comparisons += n_comps
-    stats.intermediate_tuples += n_inter
-    stats.output_tuples += n_out
-    stats.min_ops += n_min
-
-    return _result(agg, out_vars, bag, count, tuple(minima) if minima else None), stats
+    return result, stats
 
 
 def execute_bushy(

@@ -129,20 +129,13 @@ class Trie:
 def leaf_offsets(leaf, spec: LeafSpec):
     """A non-count leaf's offsets in insertion order, as a sized iterable (a
     ``hashmap`` leaf iterates its keys, which are its offsets)."""
-    if spec.kind == LEAF_SMALLVEC and leaf.__class__ is int:
-        return (leaf,)
-    return leaf
+    return leaves_offsets((leaf,), spec)[0]
 
 
 def leaf_size(leaf, spec: LeafSpec) -> int:
     """Group multiplicity of any leaf; for a non-count leaf, its number of
     offsets, which is the multiplicity only when the rows are unweighted."""
-    kind = spec.kind
-    if kind == LEAF_COUNT:
-        return leaf
-    if kind == LEAF_SMALLVEC and leaf.__class__ is int:
-        return 1
-    return len(leaf)
+    return leaves_sizes((leaf,), spec)[0]
 
 
 def leaves_offsets(leaves, spec: LeafSpec):
@@ -156,7 +149,8 @@ def leaves_offsets(leaves, spec: LeafSpec):
 
 def leaves_sizes(leaves, spec: LeafSpec):
     """``leaf_size`` of each of a sequence of leaves, as a sequence: a count
-    leaf's size is the leaf itself."""
+    leaf's size is the leaf itself, a ``smallvec`` leaf's bare offset is a
+    group of one, and any other leaf's size is its length."""
     kind = spec.kind
     if kind == LEAF_COUNT:
         return leaves

@@ -30,6 +30,8 @@ from unijoin.query import (
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
     AggregationSpec,
+    Atom,
+    ConjunctiveQuery,
     convert_left_deep,
     optimize_plan,
     parse_bushy,
@@ -520,6 +522,26 @@ class TestEdgeCases:
             result, _ = execute(q, plan, rels, agg, opts=opts)
             assert result.tuples == {(1,): 6}
 
+    @pytest.mark.parametrize("closes", [True, False])
+    def test_min_over_no_output_variables(self, closes):
+        """MIN over no variable is ``()`` when the join holds a row and None
+        when it is empty, as under ``nested_loop``."""
+        body = parse_query("Q(a) :- R(a,b), S(b,c), T(c,d), U(d,a)")[0].atoms
+        q, agg = ConjunctiveQuery((), body), AggregationSpec(AGG_MIN)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0 if closes else 4)]
+        rels = {n: rel(n, ("u", "v"), edges) for n in ("R", "S", "T", "U")}
+        want = nested_loop(q, rels, agg)
+        assert want == (() if closes else None)
+        for plan in plans_for(q):
+            for policy in POLICIES:
+                for opts in (OptConfig(), OptConfig.none()):
+                    result, _ = execute(q, plan, rels, agg, policy, opts)
+                    assert result.minima == want, (str(plan), policy.mode, opts.label())
+        tree = parse_bushy("((R(a,b) S(b,c)) (T(c,d) U(d,a)))")
+        for policy in POLICIES:
+            result, _ = execute_bushy(q, tree, rels, agg, policy)
+            assert result.minima == want, policy.mode
+
 
 class TestTupleLevels:
     """A subatom of several variables is one trie level keyed by the tuple
@@ -657,6 +679,29 @@ class TestWeightedRelations:
                 weighted["S"], ("a",), True, StructurePolicy(mode), OptConfig(o4=False)
             )
             assert spec.kind == LEAF_COUNT, mode
+
+
+    @pytest.mark.parametrize("agg", [
+        AggregationSpec(AGG_FULL, ("#", "", "mult")),
+        AggregationSpec(AGG_COUNT),
+        AggregationSpec(AGG_MIN, ("#", "", "mult")),
+    ], ids=["full", "count", "min"])
+    def test_variable_names_cannot_meet_the_multiplicity_column(self, agg, monkeypatch):
+        """A batch keeps its multiplicities beside its variables' columns;
+        hand-built atoms may name a variable anything, and none of these
+        names may read or overwrite them."""
+        q = ConjunctiveQuery(("#", "", "mult"), (Atom("R", ("#", "")), Atom("T", ("", "mult"))))
+        weighted, _ = self.relations()
+        reference = nested_loop(q, weighted, agg)
+        assert reference not in ({}, 0, None)
+        for batch in (executor.BATCH, 3, 1):
+            monkeypatch.setattr(executor, "BATCH", batch)
+            for plan in plans_for(q):
+                for policy in POLICIES:
+                    for opts in (OptConfig(), OptConfig.none()):
+                        result, _ = execute(q, plan, weighted, agg, policy, opts)
+                        assert result.matches_reference(reference), (
+                            str(plan), policy.mode, opts.label(), batch)
 
 
 class TestMultiplicityEntries:
