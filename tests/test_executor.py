@@ -775,6 +775,98 @@ class TestMultiplicityEntries:
                         assert list(result.tuples.items()) == list(reference.items()), where
 
 
+class TestRiders:
+    """A node lists only the columns its probes read (their start columns,
+    their key variables and the multiplicities); every other column it
+    carries rides along lazily, is cut by each probe that drops rows, and is
+    listed only for the rows that survive, or skipped past when none does.
+    In the plan below node 1 walks S's leaf and probes T, then U, so ``b``
+    rides past both probes, and ``a`` rides past node 0's probe of S.  Every
+    relation is sorted and declares it, so each policy walks rows in the
+    order a nested loop reads them, and a full result's tuples must come out
+    in that order.  A walk of range leaves slices its columns only under
+    ``_slice_pays``; S's group of 30 rows makes both decisions happen."""
+
+    QUERY = "Q({head}) :- R(a,b), S(b,c), T(c,a), U(c)"
+    PLAN = "R(a,b), S(b)\nS(c), T(c,a), U(c)"
+    ATTRS = {"R": ("a", "b"), "S": ("b", "c"), "T": ("c", "a"), "U": ("c",)}
+    BIG = [(10, c) for c in range(30)] + [(20, 100), (20, 101), (20, 102)]
+
+    # name -> {relation: (rows, weights or None)}
+    CASES = {
+        # At 3 rows a batch, node 1's first batch (a=1) misses T in every
+        # row and the next keeps two rows of a=2, where b is 20, not 10.
+        "dead batch, then survivors": {
+            "R": ([(1, 10), (2, 20)], None),
+            "S": ([(10, 1), (10, 2), (10, 3), (20, 4), (20, 5), (20, 6)], None),
+            "T": ([(4, 2), (6, 2)], None),
+            "U": ([(4,), (6,)], None),
+        },
+        "misses at the second probe only": {
+            "R": ([(1, 10), (2, 20), (3, 10)], None),
+            "S": ([(10, 1), (10, 2), (20, 3)], None),
+            "T": ([(1, 1), (1, 3), (2, 1), (2, 3), (3, 2)], None),
+            "U": ([(1,), (3,)], None),
+        },
+        "no misses": {
+            "R": ([(1, 10), (2, 20), (3, 10)], None),
+            "S": ([(10, 1), (10, 2), (20, 3)], None),
+            "T": ([(1, 1), (1, 3), (2, 1), (2, 3), (3, 2)], None),
+            "U": ([(1,), (2,), (3,)], None),
+        },
+        "weighted rows": {
+            "R": ([(1, 10), (2, 10), (3, 20)], [2, 1, 3]),
+            "S": ([(10, 1), (10, 2), (20, 3), (20, 4)], [1, 3, 2, 1]),
+            "T": ([(1, 1), (2, 2), (3, 3), (4, 3)], None),
+            "U": ([(1,), (3,), (4,)], None),
+        },
+        "big and small range leaves": {
+            "R": ([(1, 10), (2, 10), (3, 20)], None),
+            "S": (BIG, None),
+            "T": ([(c, a) for c in (0, 7, 29, 101) for a in (1, 3)], None),
+            "U": ([(0,), (29,), (101,)], None),
+        },
+        "big and small weighted range leaves": {
+            "R": ([(1, 10), (2, 10), (3, 20)], [1, 2, 1]),
+            "S": (BIG, [1 + c % 3 for _, c in BIG]),
+            "T": ([(c, a) for c in (0, 7, 29, 101) for a in (1, 2, 3)], None),
+            "U": ([(7,), (29,), (100,), (101,)], None),
+        },
+    }
+
+    @pytest.mark.parametrize("head", ["a,b,c", "COUNT", "MIN(b,c)"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_nested_loop(self, case, head, monkeypatch):
+        q, agg = parse_query(self.QUERY.format(head=head))
+        rels = {
+            name: Relation.from_rows(name, self.ATTRS[name], rows, sorted_by=self.ATTRS[name],
+                                     weights=weights)
+            for name, (rows, weights) in self.CASES[case].items()
+        }
+        reference = nested_loop(q, rels, agg)
+        assert reference not in ({}, 0, None)
+        plan = parse_plan(self.PLAN)
+        sliced = []
+        slice_pays = executor._slice_pays
+
+        def pays(rows, groups, cols):
+            sliced.append(slice_pays(rows, groups, cols))
+            return sliced[-1]
+
+        monkeypatch.setattr(executor, "_slice_pays", pays)
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            for policy in POLICIES:
+                for opts in (OptConfig(), OptConfig.none()):
+                    result, _ = execute(q, plan, rels, agg, policy, opts)
+                    where = (batch, policy.mode, opts.label())
+                    assert result.matches_reference(reference), where
+                    if result.kind == AGG_FULL:
+                        assert list(result.tuples.items()) == list(reference.items()), where
+        if case.startswith("big"):
+            assert set(sliced) == {False, True}
+
+
 class TestBagFold:
     """A full result folds each batch into its bag: a batch whose
     multiplicities are all 1 by C-level counting, any other row by row.

@@ -249,10 +249,14 @@ class TestBuildTrie:
         (SORTED, (LEAF_HASHMAP, LEAF_VEC, LEAF_SMALLVEC, LEAF_COUNT, LEAF_RANGE)),
     ])
     def test_batch_leaf_helpers_match_per_leaf(self, dict_kind, leaves):
-        """``leaves_offsets`` and ``leaves_sizes`` give, leaf by leaf, what
-        ``leaf_offsets`` and ``leaf_size`` give, on tries that mix smallvec
-        singletons with larger groups, weighted ones included."""
+        """``leaves_offsets`` and ``leaves_sizes`` give, leaf by leaf, the
+        offsets of the rows holding the leaf's key, in ascending order, and
+        their number (a count leaf: their weight sum), read from the
+        relation's rows, not from the leaves.  The tries mix smallvec
+        singletons with groups of more than five rows, weighted ones
+        included."""
         rng = random.Random(13)
+        largest = 0
         for _ in range(30):
             rel = rand_sorted_relation(rng, rng.randrange(1, 40), 8)
             if rng.random() < 0.5:
@@ -260,12 +264,22 @@ class TestBuildTrie:
                     "R", rel.attrs, rel.rows(), sorted_by=rel.sorted_by,
                     weights=[rng.randrange(1, 4) for _ in range(rel.size)],
                 )
+            weights = rel.weights or [1] * rel.size
             for kind in leaves:
                 spec = LeafSpec(kind)
-                found = list(build_trie(rel, ("a",), dict_kind, spec).paths().values())
-                batch = found + found[::-1]  # a batch revisits leaves
-                assert list(leaves_sizes(batch, spec)) == [leaf_size(x, spec) for x in batch]
-                if kind != LEAF_COUNT:
+                paths = build_trie(rel, ("a",), dict_kind, spec).paths()
+                rows = {(key,): [i for i, v in enumerate(rel.columns["a"]) if v == key]
+                        for key in set(rel.columns["a"])}
+                assert paths.keys() == rows.keys()
+                largest = max(largest, *map(len, rows.values()))
+                keys = list(paths) + list(paths)[::-1]  # a batch revisits leaves
+                batch = [paths[k] for k in keys]
+                if kind == LEAF_COUNT:
+                    want = [sum(weights[i] for i in rows[k]) for k in keys]
+                else:
+                    want = [len(rows[k]) for k in keys]
                     got = leaves_offsets(batch, spec)
                     assert len(got) == len(batch)
-                    assert [list(g) for g in got] == [list(leaf_offsets(x, spec)) for x in batch]
+                    assert [list(g) for g in got] == [rows[k] for k in keys]
+                assert list(leaves_sizes(batch, spec)) == want
+        assert largest > 5
