@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``run``   -- load a catalog, execute one query under one strategy, print
-  the result summary and counters, optionally verify against the
-  brute-force evaluator.
+* ``run``   -- parse a query (and plan), load a catalog, execute the query
+  under one strategy, print the result summary and counters, optionally
+  verify against the brute-force evaluator.
 * ``gen-triangle`` -- write the adversarial triangle instance family to
   CSV files plus a ready-made catalog.
 
@@ -163,9 +163,10 @@ def cmd_run(args) -> int:
     opts, policy = _strategy(args.opts, args.dicts)
     if args.limit < 0:
         raise PlanError(f"--limit must be non-negative, got {args.limit}")
-    relations = load_catalog(args.catalog)
+    # The query and plan are checked before the catalog's CSVs are loaded.
     q, agg = parse_query(_read_text(args.query).strip())
     plan = _resolve_plan(q, args.plan)
+    relations = load_catalog(args.catalog)
     result, stats = execute(q, plan, relations, agg, policy, opts)
     for line in _result_summary(result, args.limit):
         print(line)

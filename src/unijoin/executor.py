@@ -715,8 +715,10 @@ def execute_bushy(
     rels = dict(relations)
     bags: dict[str, dict] = {}
     for stage, sub_q, plan in zip(stages, sub_qs, plans):
+        # The root stage's head is the output, so its aggregate names no
+        # variable: one that a COUNT names may not occur in the root's body.
         result, _ = execute(
-            sub_q, plan, rels, agg if stage.target is None else AggregationSpec(),
+            sub_q, plan, rels, AggregationSpec(agg.kind if stage.target is None else AGG_FULL),
             policy, opts, stats, bags,
         )
         if stage.target is None:

@@ -2,8 +2,12 @@
 
 A relation stores one Python tuple per attribute.  Cell values are either
 Python ints, of any size, or strings; a column never mixes the two.  A CSV
-``int`` field is read by Python's ``int``, so ``99999999999999999999999``
-loads as itself, ``1_000`` as 1000 and `` 3 `` as 3.  Relations are
+``int`` field reads as Python's ``int`` reads it, so ``99999999999999999999999``
+loads as itself, ``1_000`` as 1000 and `` 3 `` as 3.  ``load_csv`` reads a
+file in blocks that end at a line end, checks each block's field counts in
+one pass over its bytes, and reads a block of plain decimal ints under an
+all-``int`` schema with one ``json.loads``; any other block goes through
+``str.split`` and ``int``.  Relations are
 immutable: a frozen dataclass whose columns (behind a read-only mapping),
 weights and ``sorted_by`` are tuples.  A relation may carry a ``sorted_by``
 declaration asserting that rows are lexicographically non-decreasing over
@@ -20,6 +24,7 @@ a column's items at a whole list of offsets.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
@@ -211,10 +216,16 @@ class Relation:
         return self.take(sorted(range(self.size), key=keys.__getitem__), sorted_by=full_order)
 
 
-# Characters per block of lines that ``load_csv`` converts at once: large
-# enough that its C-level passes dominate, small enough that the block's
-# text and split fields add little to peak memory.
+# Characters read per block by ``load_csv`` (then up to the next line end):
+# large enough that its C-level passes dominate, small enough that the
+# block's text and split fields add little to peak memory.
 BLOCK = 4096
+
+# ``bytes.translate(None, _NOT_SEPARATOR)`` keeps only a block's field and
+# line separators; ``bytes.translate(None, _INT_BYTES)`` leaves nothing of a
+# block of plain decimal ints.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+_INT_BYTES = b"0123456789-,\n"
 
 
 def load_csv(path, name, schema, sorted_by=None) -> Relation:
@@ -225,10 +236,20 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     A blank line is a row of one empty field: ``""`` under a one-column
     ``str`` schema, an error under any other.
 
-    Columns are built from blocks of lines in C-level passes: one arity
-    check per block, one split of the joined block, and one slice (and
-    ``int`` map) per column.  On any failure, ``_load_error`` walks the
-    file row by row to name the first bad line.
+    Columns are built from blocks in C-level passes, with no per-line work.
+    A block is ``BLOCK`` characters read in text mode (so ``\r\n`` and a
+    lone ``\r`` end a line) and then the rest of its last line.  Its arity
+    is checked over its UTF-8 bytes: deleting every byte but ``,`` and
+    ``\n`` must leave ``width - 1`` commas and a newline per line.  When
+    every column is ``int`` and the block holds only digits, ``-``, ``,``
+    and ``\n``, one ``json.loads`` of the fields as a list reads them all:
+    over those characters a JSON value is an int, read as ``int`` reads it.
+    Any other block, and one json refuses (``007``, ``-``, an empty field),
+    is split once and each ``int`` column mapped through ``int``, which
+    accepts ``1_000``, `` 3 ``, ``+5`` and any other text it documents.
+    Either way a column is one slice of the block's fields.  On any
+    failure, ``_load_error`` walks the file row by row to name the first
+    bad line.
     """
     attrs = tuple(a for a, _ in schema)
     kinds = [k for _, k in schema]
@@ -236,17 +257,33 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
         if k not in KINDS:
             raise SchemaError(f"unknown kind {k!r} in schema for {name}")
     width = len(attrs)
-    commas = {width - 1}
+    # The separators of one line; under an empty schema no line matches.
+    row = b"," * (width - 1) + b"\n" if width else b""
+    all_int = STR not in kinds
     cols = [[] for _ in attrs]
     try:
         with open(path, encoding="utf-8") as fh:
-            while block := fh.readlines(BLOCK):
-                if set(map(str.count, block, repeat(","))) != commas:
+            while text := fh.read(BLOCK) + fh.readline():
+                if text[-1] != "\n":  # the last line of a file without a final newline
+                    text += "\n"
+                data = text.encode("utf-8")
+                separators = data.translate(None, _NOT_SEPARATOR)
+                lines = separators.count(b"\n")
+                if separators != row * lines:
                     raise _load_error(path, attrs, kinds)
-                text = "".join(block)
-                if text[-1] == "\n":
-                    text = text[:-1]
-                flat = text.replace("\n", ",").split(",")
+                joined = text[:-1].replace("\n", ",")
+                ints = None
+                if all_int and not data.translate(None, _INT_BYTES):
+                    try:
+                        ints = json.loads(f"[{joined}]")
+                    except ValueError:  # a field json refuses, which int may still read
+                        pass
+                # A block of one blank line reads as no fields at all.
+                if ints is not None and len(ints) == width * lines:
+                    for i, col in enumerate(cols):
+                        col.extend(ints[i::width])
+                    continue
+                flat = joined.split(",")
                 for i, (col, k) in enumerate(zip(cols, kinds)):
                     col.extend(map(int, flat[i::width]) if k == INT else flat[i::width])
     except ValueError:  # a bad int, or a UnicodeDecodeError

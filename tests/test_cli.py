@@ -235,6 +235,17 @@ class TestRun:
         )
         assert code == 2
 
+    def test_malformed_query_exit_2_before_catalog(self, workspace, capsys):
+        # Rejected before the catalog is read: a missing one would exit 1.
+        (workspace / "query.txt").write_text("Q(x,y) :- R(x,y) S(y)\n")
+        code = main(
+            ["run", "--catalog", str(workspace / "nope.txt"),
+             "--query", str(workspace / "query.txt")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.txt" not in err
+
     def test_empty_csv_is_zero_rows(self, workspace, capsys):
         (workspace / "s.csv").write_text("")
         rel = load_csv(workspace / "s.csv", "S", [("a", "int"), ("b", "int")], ("a", "b"))

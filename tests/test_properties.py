@@ -15,10 +15,15 @@ from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.errors import PlanError
 from unijoin.oracle import nested_loop
 from unijoin.query import (
+    AGG_COUNT,
+    AGG_FULL,
+    AGG_MIN,
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
+    AggregationSpec,
     Atom,
     BushyPlan,
+    ConjunctiveQuery,
     FreeJoinPlan,
     Subatom,
     convert_left_deep,
@@ -310,16 +315,21 @@ def fuzz_plan(draw, q):
 
 
 @st.composite
-def fuzz_gj_plan(draw, q):
-    """The generic-join rewrite of a random left-deep order whose every
-    prefix is connected, so no step is a cartesian product."""
+def fuzz_left_deep(draw, q):
+    """The plan of a random left-deep order whose every prefix is
+    connected, so no step is a cartesian product."""
     order = [draw(st.sampled_from(q.atoms))]
     while len(order) < len(q.atoms):
         bound = {v for a in order for v in a.vars}
         joinable = [a for a in q.atoms if a not in order and bound & set(a.vars)]
         order.append(draw(st.sampled_from(joinable)))
-    plan = convert_left_deep(q, [a.relation for a in order])
-    return optimize_plan(q, plan, MODE_GENERIC_JOIN)
+    return convert_left_deep(q, [a.relation for a in order])
+
+
+@st.composite
+def fuzz_gj_plan(draw, q):
+    """The generic-join rewrite of a random ``fuzz_left_deep`` plan."""
+    return optimize_plan(q, draw(fuzz_left_deep(q)), MODE_GENERIC_JOIN)
 
 
 def _connected(atoms) -> bool:
@@ -528,6 +538,64 @@ def test_generic_join_plans_match_reference():
 
     check()
     assert True in bisected
+
+
+@st.composite
+def hand_built_query(draw, schema):
+    """(ConjunctiveQuery, AggregationSpec) built directly, not parsed, so
+    the head and the aggregate's variables are drawn apart: either may be
+    empty, and the aggregate's may repeat.  Query text cannot ask for
+    ``MIN`` or a full result over no variables."""
+    variables = _variables(schema)
+    some = st.lists(st.sampled_from(variables), min_size=1, max_size=3)
+    kind = draw(st.sampled_from((AGG_FULL, AGG_COUNT, AGG_MIN)))
+    head = () if draw(st.booleans()) else tuple(dict.fromkeys(draw(some)))
+    agg_vars = () if draw(st.booleans()) else tuple(draw(some))
+    atoms = tuple(Atom(name, vars_) for name, vars_ in schema)
+    return ConjunctiveQuery(head, atoms), AggregationSpec(kind, agg_vars)
+
+
+def test_hand_built_queries_match_reference():
+    # Library callers build queries and aggregates that the parser never
+    # returns.  Each runs on its binary, generic-join and Free Join plans
+    # and on a bushy tree, under every policy.  Some example must ask for a
+    # full result, MIN and COUNT over no variables, and full and MIN over
+    # some; up to three rounds run, each drawing anew.
+    reached = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        schema = data.draw(st.sampled_from(SCHEMAS))
+        q, agg = data.draw(hand_built_query(schema))
+        rels = data.draw(fuzz_relations(schema))
+        binary = data.draw(fuzz_left_deep(q))
+        tree = data.draw(fuzz_tree(list(q.atoms)))
+        reached.add((agg.kind, agg.output(q) == ()))
+        reference = nested_loop(q, _expanded(rels), agg)
+        plans = (binary, optimize_plan(q, binary, MODE_GENERIC_JOIN),
+                 optimize_plan(q, binary, MODE_FREEJOIN))
+        for batch in BATCHES:
+            with mock.patch.object(executor, "BATCH", batch):
+                for policy, opts in FLAT_STRATEGIES:
+                    for plan in plans:
+                        result, _ = execute(q, plan, rels, agg, policy, opts)
+                        assert result.matches_reference(reference), (
+                            policy.mode, opts.label(), batch, str(plan)
+                        )
+                for policy, opts in STRATEGIES:
+                    result, _ = execute_bushy(q, tree, rels, agg, policy, opts)
+                    assert result.matches_reference(reference), (
+                        policy.mode, opts.label(), batch, str(tree)
+                    )
+
+    want = {(AGG_FULL, True), (AGG_MIN, True), (AGG_COUNT, True),
+            (AGG_FULL, False), (AGG_MIN, False)}
+    for _ in range(3):
+        check()
+        if reached == want:
+            break
+    assert reached == want
 
 
 # A sorted column with runs of repeated values, and keys around and between
