@@ -22,12 +22,12 @@ compressed and sliced alike.  The first subatom expands each row by what
 it iterates; a leaf walk reads its bound columns and weights at a batch's
 offsets with one gather each, or, over range leaves (runs of a sorted
 relation's rows) that hold enough rows on average (``_slice_pays``), as one
-slice per leaf; each probe is one lookup per row (a dict ``get``, or
-``bisect`` on a sorted dictionary), and rows that miss are dropped before
-the next.  An expansion lists only the columns its node's probes read --
-the trie nodes they start from, their key variables -- and the
-multiplicities.  Every other column it carries, a sliced bound column too,
-is a rider (late materialization, Abadi et al., ICDE 2007): a lazy iterator
+slice per leaf; each probe is one lookup per row, the same ``get`` on
+either dictionary kind (a sorted one bisects its keys), and rows that miss
+are dropped before the next.  An expansion lists only the columns its
+node's probes read -- the trie nodes they start from, their key variables
+-- and the multiplicities.  Every other column it carries, a sliced bound
+column too, is a rider (late materialization, Abadi et al., ICDE 2007): a lazy iterator
 over the column's repeated values, which each probe that drops rows wraps
 in ``compress`` and which is listed only for the rows that survive every
 probe.  A batch that no row survives advances its riders past its rows in
@@ -44,7 +44,8 @@ the rows to its bag in first-seen order, by C-level counting when every row
 counts once.  The counters count what a row-at-a-time loop would, whatever
 the batch size; a probe counts one lookup per row per probe subatom.  The
 build counters are added once per trie; a sorted lookup over k keys counts
-``k.bit_length()`` comparisons.
+``k.bit_length()`` comparisons, hit or miss, charged per batch from the
+looked-up levels' sizes rather than by calling ``SortedDict.find``.
 
 Optimization toggles:
 
@@ -98,7 +99,7 @@ from bisect import bisect_left, bisect_right
 from collections import _count_elements
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter, is_not, itemgetter, methodcaller, mul, sub
+from operator import attrgetter, is_not, methodcaller, mul, sub
 
 from .errors import ExecutionError
 from .oracle import nested_loop
@@ -433,12 +434,12 @@ def execute(
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return result, stats
-    # One access record per atom: (relation, root, leaf spec, is_sorted,
-    # keyed parts, parts).  The first ``keyed`` parts descend a level each; a
-    # last part that a node iterates first walks the leaf offsets (a scan
-    # walks a range leaf over every row).  Part 0 starts from ``root``; part
-    # ``i`` from the trie node part ``i - 1`` reached, which the batch holds
-    # as the column ``(atom, i)``.
+    # One access record per atom: (relation, root, leaf spec, keyed parts,
+    # parts).  The first ``keyed`` parts descend a level each; a last part
+    # that a node iterates first walks the leaf offsets (a scan walks a
+    # range leaf over every row).  Part 0 starts from ``root``; part ``i``
+    # from the trie node part ``i - 1`` reached, which the batch holds as
+    # the column ``(atom, i)``.
     access = {}
     for name in sorted({s.relation for node in working.nodes for s in node}):
         subs = working.subatoms_of(name)
@@ -464,10 +465,9 @@ def execute(
                 stats.trie_build_insertions += trie.insertions
                 root = trie.root
             stats.deep_intermediate_tries += bag is not None
-            is_sorted = dict_kind == SORTED
         else:
-            root, spec, is_sorted = range(rel.size), LeafSpec(LEAF_RANGE), False
-        access[name] = (rel, root, spec, is_sorted, keyed, len(subs))
+            root, spec = range(rel.size), LeafSpec(LEAF_RANGE)
+        access[name] = (rel, root, spec, keyed, len(subs))
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
 
     # Compile each node into (leaf spec, start, root, bind, weights, child,
@@ -476,25 +476,23 @@ def execute(
     # when the first subatom walks leaf offsets, and bind is then (var,
     # column) pairs; else it walks the trie level keyed by its variables
     # ``bind``, and the nodes it reaches form the column ``child``.  A probe
-    # is (start, root, vars, is_sorted, leaf spec or None, child): the spec
-    # is set for an atom's final, probe-only part, whose group size
-    # multiplies, and else the nodes it reaches form the column ``child``.
+    # is (start, root, vars, leaf spec or None, child): the spec is set for
+    # an atom's final, probe-only part, whose group size multiplies, and
+    # else the nodes it reaches form the column ``child``.
     part = dict.fromkeys(access, 0)  # atom -> index of its next part
     nodes = []
     for node in working.nodes:
         probes = []
         for pos, subatom in enumerate(node):
             name = subatom.relation
-            rel, root, spec, is_sorted, keyed, parts = access[name]
+            rel, root, spec, keyed, parts = access[name]
             idx = part[name]
             part[name] += 1
             start = (name, idx) if idx else None
             child = (name, idx + 1)
             if pos:
                 final = idx + 1 == parts
-                probes.append(
-                    (start, root, subatom.vars, is_sorted, spec if final else None, child)
-                )
+                probes.append((start, root, subatom.vars, spec if final else None, child))
             elif idx == keyed:  # bind from the rows at each offset
                 cols = rel.columns
                 bind = tuple((v, cols[var_attr[(name, v)]]) for v in subatom.vars)
@@ -530,27 +528,28 @@ def execute(
     def probe(batch, n, probes, reads):
         """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
         row each, dropping a row that misses from every column, and return
-        the rows left.  A column in ``reads`` (one a probe reads, or the
-        multiplicities) is listed anew after a drop; any other, a rider,
-        is only wrapped in ``compress``, to be listed by ``run`` if rows
-        survive.  A probe adds the trie nodes it reaches to the batch as a
+        the rows left.  A lookup is the dictionary's ``get``, whichever its
+        kind: the root's bound one, or its class's over a column of trie
+        nodes.  A sorted level's comparisons are charged in bulk, before
+        any row is dropped: ``k.bit_length()`` for each row whose lookup
+        met k keys, hit or miss.  A column in ``reads`` (one a probe reads,
+        or the multiplicities) is listed anew after a drop; any other, a
+        rider, is only wrapped in ``compress``, to be listed by ``run`` if
+        rows survive.  A probe adds the trie nodes it reaches to the batch as a
         column, or, for a probe-only part, multiplies the multiplicity
         column by the group sizes.  Lookups, hits and comparisons go to
         ``ExecStats`` per probe."""
-        for start, root, pvars, is_sorted, spec, child in probes:
+        for start, root, pvars, spec, child in probes:
             if len(pvars) == 1:
                 keys = batch[pvars[0]]
             else:  # a tuple per row, the empty one for no variable
                 keys = zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
             stats.probes += n
-            if is_sorted:
-                found = list(map(root.find, keys) if start is None
-                             else map(SortedDict.find, batch[start], keys))
-                stats.comparisons += sum(map(itemgetter(1), found))
-                node = list(map(itemgetter(0), found))
-            else:
-                node = list(map(root.get, keys, repeat(_MISSING)) if start is None
-                            else map(dict.get, batch[start], keys, repeat(_MISSING)))
+            node = list(map(root.get, keys, repeat(_MISSING)) if start is None
+                        else map(root.__class__.get, batch[start], keys, repeat(_MISSING)))
+            if root.__class__ is SortedDict:
+                stats.comparisons += (len(root).bit_length() * n if start is None else sum(
+                    map(int.bit_length, map(len, map(attrgetter("keys"), batch[start])))))
             miss = node.count(_MISSING)
             stats.probe_hits += n - miss
             if miss == n:

@@ -20,12 +20,25 @@ AGG_COUNT = "count"
 AGG_MIN = "min"
 
 
+def _vars_tuple(obj) -> None:
+    """Store ``obj.vars`` as a tuple, as ``Relation`` stores its columns, so
+    a hand-built atom's list of variables hashes; a bare string would read
+    as one variable per character, so it is refused."""
+    if isinstance(obj.vars, str):
+        raise QueryError(
+            f"{type(obj).__name__.lower()} {obj.relation}: variables must be a "
+            f"sequence of names, not the string {obj.vars!r}"
+        )
+    object.__setattr__(obj, "vars", tuple(obj.vars))
+
+
 @dataclass(frozen=True)
 class Atom:
     relation: str
     vars: tuple[str, ...]
 
     def __post_init__(self):
+        _vars_tuple(self)
         if len(set(self.vars)) != len(self.vars):
             raise QueryError(f"atom {self.relation}: repeated variable in {self.vars}")
 
@@ -37,6 +50,9 @@ class Atom:
 class Subatom:
     relation: str
     vars: tuple[str, ...]
+
+    def __post_init__(self):
+        _vars_tuple(self)
 
     def __str__(self):
         return f"{self.relation}({','.join(self.vars)})"

@@ -211,6 +211,9 @@ class Relation:
     def sorted_copy(self, order: tuple[str, ...]) -> "Relation":
         """Rows re-sorted lexicographically by ``order`` then the remaining
         attrs; each row keeps its weight."""
+        for a in order:
+            if a not in self.attrs:
+                raise SchemaError(f"relation {self.name}: unknown attribute {a!r}")
         full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
         keys = list(zip(*(self.columns[a] for a in full_order)))
         return self.take(sorted(range(self.size), key=keys.__getitem__), sorted_by=full_order)

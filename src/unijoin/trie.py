@@ -17,9 +17,12 @@ path, in one of several representations:
   number of rows, or the sum of their weights in a weighted relation
 
 Dictionaries come in two kinds: ``hash`` (a plain dict) and ``sorted``
-(association lists in key order, looked up with ``bisect``).  A sorted lookup
-over k keys is charged ``k.bit_length()`` comparisons, the most that
-``bisect_left`` makes, whether the key is found or not.
+(association lists in key order, looked up with ``bisect``).  Both answer
+``get(key, default)`` alike, so a lookup reads the same whatever the kind.
+A sorted lookup over k keys is charged ``k.bit_length()`` comparisons, the
+most that ``bisect_left`` makes, whether the key is found or not; ``find``
+pairs a lookup with that charge, and a caller that looks up many keys may
+charge it in bulk instead.
 
 A hash trie groups the rows on their whole key path in one pass over the
 rows, then nests the paths into one dictionary per level, keys (key tuples
@@ -66,10 +69,10 @@ class SortedDict:
 
     ``keys`` and ``values`` are parallel lists, handed over whole by the
     sorted build; ``append`` may only add a key no smaller than the last.
-    Lookups run ``bisect_left`` over the key list.  ``find``
-    returns the value together with the comparisons charged for it:
-    ``len(keys).bit_length()``, bisect's probe bound (at most
-    ``ceil(log2 k) + 1``), the same for a hit and a miss.
+    ``get`` looks a key up as ``dict.get`` does, with one ``bisect_left``
+    over the key list.  ``find`` returns the value together with the
+    comparisons charged for it: ``len(keys).bit_length()``, bisect's probe
+    bound (at most ``ceil(log2 k) + 1``), the same for a hit and a miss.
     """
 
     __slots__ = ("keys", "values")
@@ -90,13 +93,17 @@ class SortedDict:
         keys.append(key)
         self.values.append(value)
 
-    def find(self, key):
-        """Return (value_or_MISSING, comparisons)."""
+    def get(self, key, default=None):
+        """The value under ``key``, else ``default``."""
         keys = self.keys
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
-            return self.values[i], len(keys).bit_length()
-        return _MISSING, len(keys).bit_length()
+            return self.values[i]
+        return default
+
+    def find(self, key):
+        """Return (value_or_MISSING, comparisons)."""
+        return self.get(key, _MISSING), len(self.keys).bit_length()
 
     def items(self):
         return zip(self.keys, self.values)

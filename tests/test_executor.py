@@ -48,6 +48,7 @@ from unijoin.trie import (
     LeafSpec,
     build_trie,
 )
+from unijoin.trie import _MISSING
 
 POLICIES = (
     StructurePolicy("hash"),
@@ -305,6 +306,62 @@ class TestPinnedCounters:
             result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
             assert self.got(s) == self.KEY_WALK[policy], batch
             assert result.matches_reference(nested_loop(q, rels, agg)), batch
+
+    def test_sorted_probes_from_trie_nodes(self, monkeypatch):
+        """Under ``sorted``, S is probed from its root and then from the
+        trie nodes its earlier parts reached, nodes of different sizes, and
+        some rows miss at every level.  The comparisons equal what a
+        row-at-a-time loop over the built tries charges with
+        ``SortedDict.find``, at every batch size."""
+        rng = random.Random(27)
+        rels = {
+            name: Relation.from_rows(name, ("a", "b", "c"), [
+                tuple(rng.randrange(d) for d in (9, 5, 6)) for _ in range(40)
+            ])
+            for name in "RS"
+        }
+        q, agg = parse_query("Q(a,b,c) :- R(a,b,c), S(a,b,c)")
+        plan = parse_plan("R(a), S(a)\nR(b), S(b)\nR(c), S(c)")
+        built = {}
+
+        def spy(rel_, attrs, dict_kind, spec):
+            trie = build_trie(rel_, attrs, dict_kind, spec)
+            built[rel_.name] = (rel_, trie)
+            return trie
+
+        monkeypatch.setattr(executor, "build_trie", spy)
+        results = []
+        for batch in self.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            result, s = execute(q, plan, rels, agg, StructurePolicy("sorted"))
+            results.append((list(result.tuples.items()), self.got(s)))
+        assert dict(results[0][0]) == nested_loop(q, rels, agg)
+        assert all(r == results[0] for r in results)
+
+        # R walks its a and b levels, then the c of each row in a leaf; S is
+        # looked up once per row at each level, as a nested loop would.
+        (r_rel, r_trie), (_, s_trie) = built["R"], built["S"]
+        comparisons, misses, sizes = 0, [0, 0, 0], set()
+        for a, r_a in r_trie.root.items():
+            s_a, charged = s_trie.root.find(a)
+            comparisons += charged
+            if s_a is _MISSING:
+                misses[0] += 1
+                continue
+            for b, leaf in r_a.items():
+                sizes.add(len(s_a))
+                s_ab, charged = s_a.find(b)
+                comparisons += charged
+                if s_ab is _MISSING:
+                    misses[1] += 1
+                    continue
+                for off in leaf:
+                    sizes.add(len(s_ab))
+                    found, charged = s_ab.find(r_rel.columns["c"][off])
+                    comparisons += charged
+                    misses[2] += found is _MISSING
+        assert all(misses) and len(sizes) > 2, (misses, sizes)
+        assert results[0][1][self.COUNTERS.index("comparisons")] == comparisons
 
 
 class TestToggles:

@@ -432,6 +432,51 @@ class TestBushy:
                     assert result.matches_reference(reference)
 
 
+class TestHandBuiltAtoms:
+    """Atoms and subatoms built without the parsers: a list of variables is
+    stored as a tuple, and a bare string is refused rather than read as one
+    variable per character."""
+
+    RELS = {
+        "R": Relation.from_rows("R", ("u", "v"), [(1, 2), (3, 2), (0, 5)]),
+        "S": Relation.from_rows("S", ("u", "v"), [(2, 7), (2, 8), (5, 9)]),
+        "T": Relation.from_rows("T", ("u", "v"), [(7, 1), (9, 4), (9, 6)]),
+    }
+
+    @pytest.mark.parametrize("cls", (Atom, Subatom))
+    def test_list_variables_are_a_tuple(self, cls):
+        sub = cls("R", ["a", "b"])
+        assert sub.vars == ("a", "b") and sub == cls("R", ("a", "b"))
+        assert hash(sub) == hash(cls("R", ("a", "b")))
+
+    @pytest.mark.parametrize("cls", (Atom, Subatom))
+    def test_bare_string_refused(self, cls):
+        with pytest.raises(QueryError, match=f"{cls.__name__.lower()} R: .* not the string 'xy'"):
+            cls("R", "xy")
+
+    @pytest.mark.parametrize("policy", ("hash", "sorted", "hybrid"))
+    def test_list_variables_run(self, policy):
+        """``execute_bushy`` once raised ``TypeError: unhashable type:
+        'list'`` from ``decompose_bushy``'s set of leaves."""
+        atoms = [Atom("R", ["a", "b"]), Atom("S", ["b", "c"]), Atom("T", ["c", "d"])]
+        q = ConjunctiveQuery(("a", "d"), tuple(atoms))
+        agg = AggregationSpec()
+        reference = nested_loop(q, self.RELS, agg)
+        assert reference
+        plan = FreeJoinPlan((
+            (Subatom("R", ["a", "b"]), Subatom("S", ["b"])),
+            (Subatom("S", ["c"]), Subatom("T", ["c"])),
+            (Subatom("T", ["d"]),),
+        ))
+        validate_plan(q, plan)
+        tree = BushyPlan(atoms[0], BushyPlan(atoms[1], atoms[2]))
+        for result, _ in (
+            execute(q, plan, self.RELS, agg, StructurePolicy(policy)),
+            execute_bushy(q, tree, self.RELS, agg, StructurePolicy(policy)),
+        ):
+            assert result.matches_reference(reference)
+
+
 class TestAggregationSpec:
     def test_unknown_kind(self):
         # Once ran as a full result.

@@ -222,6 +222,13 @@ class TestWeights:
         assert out.weights == (7, 6, 5)
         assert Relation.from_rows("R", ("a",), [(2,), (1,)]).sorted_copy(("a",)).weights is None
 
+    def test_sorted_copy_of_an_unknown_attribute(self):
+        """Once raised ``KeyError: 'z'``; ``select`` already named it."""
+        rel = Relation.from_rows("R", ("a", "b"), [(2, 1), (1, 3)])
+        for order in (("z",), ("a", "z")):
+            with pytest.raises(SchemaError, match="relation R: unknown attribute 'z'"):
+                rel.sorted_copy(order)
+
     def test_select_keeps_weights(self):
         rel = Relation.from_rows("R", ("a",), [(1,), (2,), (3,)], weights=[4, 5, 6])
         out = select(rel, "a", "!=", 2)

@@ -106,6 +106,36 @@ class TestSortedDict:
                 _, comps = d.find(probe)
                 assert comps == k.bit_length()
 
+    @pytest.mark.parametrize("keys", (
+        [],
+        [0],
+        [0, 2, 4, 6, 8],
+        [1, 1, 3],
+        ["a", "b", "d"],
+        [()],
+        [(0, 1), (0, 3), (2, 0)],
+    ), ids=repr)
+    def test_get_agrees_with_dict_get(self, keys):
+        """``get`` answers as ``dict.get`` does -- hits, misses, an explicit
+        default and the ``None`` default -- and ``find`` is ``get`` paired
+        with the charge for k keys, ``k.bit_length()``."""
+        from unijoin.trie import _MISSING
+
+        d = SortedDict(list(keys), [f"v{i}" for i in range(len(keys))])
+        ref = {}
+        for k, v in zip(d.keys, d.values):
+            ref.setdefault(k, v)  # bisect_left finds a repeated key's first value
+        probes = list(keys) + (
+            [-1, 1, 5, 9] if all(k.__class__ is int for k in keys) else
+            ["", "c", "e"] if all(k.__class__ is str for k in keys) else
+            [(0,), (0, 2), (1, 0), (3, 0)]
+        )
+        for k in probes:
+            assert d.get(k) == ref.get(k), k
+            assert d.get(k, "dflt") == ref.get(k, "dflt"), k
+            assert d.get(k, _MISSING) is ref.get(k, _MISSING), k
+            assert d.find(k) == (d.get(k, _MISSING), len(d.keys).bit_length()), k
+
 
 class TestBuildTrie:
     def test_offset_leaves_equivalent(self):
