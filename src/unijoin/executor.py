@@ -24,7 +24,16 @@ offsets with one gather each, or, over range leaves (runs of a sorted
 relation's rows) that hold enough rows on average (``_slice_pays``), as one
 slice per leaf; each probe is one lookup per row, the same ``get`` on
 either dictionary kind (a sorted one bisects its keys), and rows that miss
-are dropped before the next.  An expansion lists only the columns its
+are dropped before the next.  A probe from a trie root first finds which of
+the batch's keys can hit, and drops a batch with none before any per-row
+lookup.  A sorted root is searched once per distinct key, in ascending
+order, each bisect starting where the last one ended (Leapfrog Triejoin's
+seek, Veldhuizen, ICDT 2014), and the rows look up the hits.  A hash root
+tests the batch's keys with one C-level ``isdisjoint`` only when this
+probe's last batch died, so a run of dead batches costs one test each and
+a live run none (the step is chosen from the last batch's outcome, as in
+Vectorwise's micro-adaptivity).  A probe from a column of trie nodes looks
+each row up in its own node.  An expansion lists only the columns its
 node's probes read -- the trie nodes they start from, their key variables
 -- and the multiplicities.  Every other column it carries, a sliced bound
 column too, is a rider (late materialization, Abadi et al., ICDE 2007): a lazy iterator
@@ -42,10 +51,11 @@ and folds its rows into the ``ResultBag``: ``count`` sums the
 multiplicities, ``min`` takes a per-column minimum, and a full result adds
 the rows to its bag in first-seen order, by C-level counting when every row
 counts once.  The counters count what a row-at-a-time loop would, whatever
-the batch size; a probe counts one lookup per row per probe subatom.  The
-build counters are added once per trie; a sorted lookup over k keys counts
-``k.bit_length()`` comparisons, hit or miss, charged per batch from the
-looked-up levels' sizes rather than by calling ``SortedDict.find``.
+the batch size; a probe counts one lookup per row per probe subatom, also
+where its batch's keys were searched once each.  The build counters are
+added once per trie; a sorted lookup over k keys counts ``k.bit_length()``
+comparisons, hit or miss, charged per row and batch from the looked-up
+levels' sizes rather than by calling ``SortedDict.find``.
 
 Optimization toggles:
 
@@ -341,6 +351,30 @@ def _kept_offsets(col, keys: set, ranges: bool) -> list:
     return list(compress(range(len(col)), map(keys.__contains__, col)))
 
 
+def _keys(batch: dict, pvars: tuple, n: int):
+    """A probe's keys over a batch of ``n`` rows: its one variable's
+    column, else a tuple per row (the empty one for no variable)."""
+    if len(pvars) == 1:
+        return batch[pvars[0]]
+    return zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
+
+
+def _seek(level: SortedDict, keys) -> dict:
+    """The entries of ``level`` under ``keys``, as a dict from each key
+    found to its value.  Each distinct key is bisected once, in ascending
+    order, each search starting where the last one ended, as Leapfrog
+    Triejoin's seek does."""
+    found = {}
+    level_keys, values = level.keys, level.values
+    end = len(level_keys)
+    i = 0
+    for key in sorted(dict.fromkeys(keys)):
+        i = bisect_left(level_keys, key, i)
+        if i < end and level_keys[i] == key:
+            found[key] = values[i]
+    return found
+
+
 def _choose_structures(rel, levels, probe_only, policy, opts):
     """(possibly re-sorted relation, dict_kind, LeafSpec, sorted_copy_made).
 
@@ -525,35 +559,53 @@ def execute(
         needed[ni] = live = live | reads[ni]
         live = live | {start}
 
+    dead = set()  # the probes (by ``child``) whose last batch no row survived
+
     def probe(batch, n, probes, reads):
         """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
         row each, dropping a row that misses from every column, and return
-        the rows left.  A lookup is the dictionary's ``get``, whichever its
-        kind: the root's bound one, or its class's over a column of trie
-        nodes.  A sorted level's comparisons are charged in bulk, before
-        any row is dropped: ``k.bit_length()`` for each row whose lookup
-        met k keys, hit or miss.  A column in ``reads`` (one a probe reads,
-        or the multiplicities) is listed anew after a drop; any other, a
-        rider, is only wrapped in ``compress``, to be listed by ``run`` if
-        rows survive.  A probe adds the trie nodes it reaches to the batch as a
-        column, or, for a probe-only part, multiplies the multiplicity
-        column by the group sizes.  Lookups, hits and comparisons go to
-        ``ExecStats`` per probe."""
+        the rows left.  A lookup is ``get`` on a dictionary, whichever its
+        kind: a probe from a column of trie nodes maps the level class's
+        ``get`` over it, and a probe from the root maps a plain dict's.
+        That dict is the root's hits among the batch's distinct keys
+        (``_seek``) for a sorted root, and a hash root itself, which, when
+        this probe's last batch died, first tests the batch's keys with
+        one C-level ``isdisjoint``.  A root probe that finds none of the
+        keys drops the batch before any per-row lookup.  A sorted level's
+        comparisons are charged in bulk, before any row is dropped:
+        ``k.bit_length()`` for each row whose lookup met k keys, hit or
+        miss, as a row-at-a-time loop counts them.  A column in ``reads``
+        (one a probe reads, or the multiplicities) is listed anew after a
+        drop; any other, a rider, is only wrapped in ``compress``, to be
+        listed by ``run`` if rows survive.  A probe adds the trie nodes it
+        reaches to the batch as a column, or, for a probe-only part,
+        multiplies the multiplicity column by the group sizes.  Lookups,
+        hits and comparisons go to ``ExecStats`` per probe."""
         for start, root, pvars, spec, child in probes:
-            if len(pvars) == 1:
-                keys = batch[pvars[0]]
-            else:  # a tuple per row, the empty one for no variable
-                keys = zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
+            keys = _keys(batch, pvars, n)
             stats.probes += n
-            node = list(map(root.get, keys, repeat(_MISSING)) if start is None
-                        else map(root.__class__.get, batch[start], keys, repeat(_MISSING)))
             if root.__class__ is SortedDict:
                 stats.comparisons += (len(root).bit_length() * n if start is None else sum(
                     map(int.bit_length, map(len, map(attrgetter("keys"), batch[start])))))
+            if start is None:
+                if root.__class__ is SortedDict:
+                    root = _seek(root, keys)
+                    if not root:
+                        return 0
+                    keys = _keys(batch, pvars, n)
+                elif child in dead:
+                    if root.keys().isdisjoint(keys):
+                        return 0
+                    keys = _keys(batch, pvars, n)
+                node = list(map(root.get, keys, repeat(_MISSING)))
+            else:
+                node = list(map(root.__class__.get, batch[start], keys, repeat(_MISSING)))
             miss = node.count(_MISSING)
             stats.probe_hits += n - miss
             if miss == n:
+                dead.add(child)
                 return 0
+            dead.discard(child)
             if miss:
                 keep = list(map(is_not, node, repeat(_MISSING)))
                 for key, col in batch.items():

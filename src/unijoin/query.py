@@ -20,16 +20,17 @@ AGG_COUNT = "count"
 AGG_MIN = "min"
 
 
-def _vars_tuple(obj) -> None:
-    """Store ``obj.vars`` as a tuple, as ``Relation`` stores its columns, so
-    a hand-built atom's list of variables hashes; a bare string would read
-    as one variable per character, so it is refused."""
-    if isinstance(obj.vars, str):
+def _names_tuple(obj, field: str, owner: str) -> None:
+    """Store ``obj``'s variables under ``field`` as a tuple, as ``Relation``
+    stores its columns, so a hand-built list of variables hashes; a bare
+    string would read as one variable per character, so it is refused,
+    naming ``owner``."""
+    names = getattr(obj, field)
+    if isinstance(names, str):
         raise QueryError(
-            f"{type(obj).__name__.lower()} {obj.relation}: variables must be a "
-            f"sequence of names, not the string {obj.vars!r}"
+            f"{owner}: variables must be a sequence of names, not the string {names!r}"
         )
-    object.__setattr__(obj, "vars", tuple(obj.vars))
+    object.__setattr__(obj, field, tuple(names))
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class Atom:
     vars: tuple[str, ...]
 
     def __post_init__(self):
-        _vars_tuple(self)
+        _names_tuple(self, "vars", f"atom {self.relation}")
         if len(set(self.vars)) != len(self.vars):
             raise QueryError(f"atom {self.relation}: repeated variable in {self.vars}")
 
@@ -52,7 +53,7 @@ class Subatom:
     vars: tuple[str, ...]
 
     def __post_init__(self):
-        _vars_tuple(self)
+        _names_tuple(self, "vars", f"subatom {self.relation}")
 
     def __str__(self):
         return f"{self.relation}({','.join(self.vars)})"
@@ -65,7 +66,9 @@ class AggregationSpec:
 
     ``vars`` are the variables kept under ``full`` (a bag projection, where
     an empty projection means the query head), the variables minimized
-    under ``min``, and unused under ``count``.
+    under ``min``, and unused under ``count``.  A list of them is stored as
+    a tuple, and a bare string is refused, as for ``ConjunctiveQuery``'s
+    head.
     """
 
     kind: str = AGG_FULL
@@ -74,6 +77,7 @@ class AggregationSpec:
     def __post_init__(self):
         if self.kind not in (AGG_FULL, AGG_COUNT, AGG_MIN):
             raise QueryError(f"unknown aggregate kind {self.kind!r}")
+        _names_tuple(self, "vars", f"{self.kind} aggregate")
 
     def output(self, q: "ConjunctiveQuery") -> tuple[str, ...]:
         """The variables a result over ``q`` reports, each once: none under
@@ -94,6 +98,7 @@ class ConjunctiveQuery:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
+        _names_tuple(self, "head", "query head")
         names = [a.relation for a in self.atoms]
         if len(set(names)) != len(names):
             raise QueryError(

@@ -2,6 +2,7 @@
 evaluator, counter semantics, optimization toggles, policies, and the
 staged evaluation of bushy trees."""
 
+import bisect
 import os
 import random
 import subprocess
@@ -252,6 +253,49 @@ class TestPinnedCounters:
             results.append(result.tuples)
         assert results[0] == nested_loop(q, rels, agg)
         assert all(list(r.items()) == list(results[0].items()) for r in results)
+
+    def test_sorted_root_probes_seek_each_distinct_key_once(self, monkeypatch):
+        """Under ``sorted``, the binary plan's root probes (S on b, T on
+        (c, a)) bisect each batch's distinct keys once, ascending, each
+        search starting where the batch's last one ended.  The comparisons
+        are still charged per row, as ``EXPECTED`` pins them."""
+        q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
+        rels = {r.name: r for r in gen_adversarial_triangle(40)}
+        plan = convert_left_deep(q, ("R", "S", "T"))
+        fan = {}
+        for b, c in rels["S"].rows():
+            fan.setdefault(b, []).append(c)
+
+        def distinct_keys(size):
+            """Each batch's distinct keys, summed: R's rows cut into batches
+            for S's probe, then each batch's rows that S expands, cut again
+            for T's."""
+            r_rows, total = rels["R"].rows(), 0
+            for lo in range(0, len(r_rows), size):
+                batch = r_rows[lo:lo + size]
+                total += len({b for _, b in batch})
+                keys = [(c, a) for a, b in batch for c in fan.get(b, ())]
+                total += sum(len(set(keys[i:i + size])) for i in range(0, len(keys), size))
+            return total
+
+        searches = []
+
+        def spy(keys, key, lo):
+            found = bisect.bisect_left(keys, key, lo)
+            searches.append((key, lo, found))
+            return found
+
+        monkeypatch.setattr(executor, "bisect_left", spy)
+        want = self.EXPECTED[("binary", "sorted")]
+        for batch in self.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            searches.clear()
+            _, s = execute(q, plan, rels, agg, StructurePolicy("sorted"))
+            assert self.got(s) == want, batch
+            assert len(searches) == distinct_keys(batch), batch
+            for (key, _, found), (next_key, lo, _) in zip(searches, searches[1:]):
+                assert lo == 0 or (lo == found and next_key > key), batch
+        assert distinct_keys(self.BATCHES[0]) == 61 < want[0] == 460  # 61 of 460 lookups
 
     # policy -> (count, COUNTERS); the same with O5 on and off
     BUSHY_CYCLE4 = {

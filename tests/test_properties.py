@@ -1,6 +1,7 @@
 """Property-based checks over randomly generated inputs."""
 
 import re
+from dataclasses import fields
 from itertools import compress, islice
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS
 from unijoin import executor
 from unijoin.cli import main
-from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
+from unijoin.executor import ExecStats, OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.errors import PlanError
 from unijoin.oracle import nested_loop
 from unijoin.query import (
@@ -684,6 +685,99 @@ def test_random_bushy_trees_match_reference():
         if handed:
             break
     assert handed and "sorted" not in handed
+
+
+TRIANGLE = (("R", ("a", "b")), ("S", ("b", "c")), ("T", ("c", "a")))
+
+
+@st.composite
+def repeating_keys(draw):
+    """Triangle relations whose probes meet the same key on many rows, in
+    runs of batches no row survives before one that some row does, as in
+    the adversarial triangle.  R holds a fan of rows whose b S lacks, then
+    a hub fan of rows on one b, then a matching of genuine triangles, in
+    that order of a.  S repeats its hub row, so the hub fan expands into
+    (c, a) keys that each repeat and that T lacks.  Values are ints, or
+    strs that sort as the ints do; the relations are sorted and declare it,
+    or neither.  A few drawn rows are added."""
+    cell = draw(st.sampled_from((int, "{:03d}".format)))
+    lost, hub, copies, matched = (draw(st.integers(lo, hi))
+                                  for lo, hi in ((0, 4), (1, 6), (1, 4), (1, 3)))
+    a = iter(range(100))
+    r = ([(next(a), 90) for _ in range(lost)] + [(next(a), 0) for _ in range(hub)]
+         + [(next(a), 40 + j) for j in range(matched)])
+    s = [(0, 1)] * copies + [(40 + j, 60 + j) for j in range(matched)]
+    t = [(1, 99)] + [(60 + j, r[lost + hub + j][0]) for j in range(matched)]
+    noise = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3)
+    order = draw(st.booleans())
+    rels = {}
+    for (name, vars_), rows in zip(TRIANGLE, (r, s, t)):
+        rows = [tuple(map(cell, row)) for row in rows + draw(noise)]
+        attrs = tuple(f"c{i}" for i in range(len(vars_)))
+        rels[name] = Relation.from_rows(name, attrs, sorted(rows) if order else rows,
+                                        sorted_by=attrs if order else None)
+    return rels
+
+
+def test_repeated_probe_keys_match_reference():
+    # A probe from a trie root first finds which of a batch's keys can hit:
+    # a sorted root seeks the distinct ones, a hash root whose last batch
+    # died tests the batch as a whole.  Each of the binary, generic-join and
+    # Free Join plans of a random join order runs under every policy at
+    # every batch size; results, their order and every counter must not
+    # depend on the batch size.  Some example must seek a sorted root for a
+    # batch whose keys repeat, and, at batches of one and three rows, find
+    # nothing for a batch before finding something for a later one.
+    reached = set()
+    counters = [f.name for f in fields(ExecStats) if not f.name.endswith("_ms")]
+    seek, seeks = executor._seek, []  # (level, keys repeat, found any) per seek
+
+    def seek_spy(level, keys):
+        keys = list(keys)
+        found = seek(level, keys)
+        seeks.append((id(level), len(set(keys)) < len(keys), bool(found)))
+        return found
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        q, agg = parse_query(data.draw(fuzz_query(TRIANGLE)))
+        rels = data.draw(repeating_keys())
+        reference = nested_loop(q, rels, agg)
+        binary = data.draw(fuzz_left_deep(q))
+        plans = (binary, optimize_plan(q, binary, MODE_GENERIC_JOIN),
+                 optimize_plan(q, binary, MODE_FREEJOIN))
+        for plan in plans:
+            for policy, opts in STRATEGIES:
+                runs = []
+                for batch in BATCHES:
+                    seeks.clear()
+                    with mock.patch.object(executor, "BATCH", batch), \
+                            mock.patch.object(executor, "_seek", seek_spy):
+                        result, stats = execute(q, plan, rels, agg, policy, opts)
+                    assert result.matches_reference(reference), (
+                        policy.mode, opts.label(), batch, str(plan)
+                    )
+                    rows = None if result.tuples is None else list(result.tuples.items())
+                    runs.append((rows, result.count, result.minima,
+                                 [getattr(stats, c) for c in counters]))
+                    if any(repeats for _, repeats, _ in seeks):
+                        reached.add(("repeats", batch))
+                    dead = set()
+                    for level, _, found in seeks:
+                        if found and level in dead:
+                            reached.add(("dead, then live", batch))
+                        elif not found:
+                            dead.add(level)
+                assert all(run == runs[0] for run in runs), (policy.mode, opts.label(), str(plan))
+
+    want = {("repeats", executor.BATCH), ("repeats", 3),
+            ("dead, then live", 1), ("dead, then live", 3)}
+    for _ in range(3):
+        check()
+        if want <= reached:
+            break
+    assert want <= reached
 
 
 @settings(

@@ -11,6 +11,9 @@ from unijoin.errors import PlanError, QueryError
 from unijoin.executor import OptConfig, StructurePolicy, execute, execute_bushy
 from unijoin.oracle import nested_loop
 from unijoin.query import (
+    AGG_COUNT,
+    AGG_FULL,
+    AGG_MIN,
     MODE_FREEJOIN,
     MODE_GENERIC_JOIN,
     AggregationSpec,
@@ -470,6 +473,42 @@ class TestHandBuiltAtoms:
         ))
         validate_plan(q, plan)
         tree = BushyPlan(atoms[0], BushyPlan(atoms[1], atoms[2]))
+        for result, _ in (
+            execute(q, plan, self.RELS, agg, StructurePolicy(policy)),
+            execute_bushy(q, tree, self.RELS, agg, StructurePolicy(policy)),
+        ):
+            assert result.matches_reference(reference)
+
+
+class TestHandBuiltHeads:
+    """A query head and an aggregate's variables built without the parser:
+    a list is stored as a tuple, and a bare string is refused.  Each string
+    once ran as one variable per character: head ``"ac"`` as ``(a, c)`` and
+    ``MIN`` over ``"ab"`` as over ``a`` and ``b``."""
+
+    ATOMS = (Atom("R", ("a", "b")), Atom("S", ("b", "c")))
+    RELS = TestHandBuiltAtoms.RELS
+
+    def test_bare_string_head_refused(self):
+        with pytest.raises(QueryError, match="query head: .* not the string 'ac'"):
+            ConjunctiveQuery("ac", self.ATOMS)
+
+    @pytest.mark.parametrize("kind", (AGG_FULL, AGG_MIN, AGG_COUNT))
+    def test_bare_string_aggregate_refused(self, kind):
+        with pytest.raises(QueryError, match=f"{kind} aggregate: .* not the string 'ab'"):
+            AggregationSpec(kind, "ab")
+
+    @pytest.mark.parametrize("policy", ("hash", "sorted", "hybrid"))
+    @pytest.mark.parametrize("kind", (AGG_FULL, AGG_MIN))
+    def test_list_variables_run(self, kind, policy):
+        q = ConjunctiveQuery(["a", "c"], self.ATOMS)
+        agg = AggregationSpec(kind, ["c", "a"])
+        assert q.head == ("a", "c") and agg.vars == ("c", "a")
+        assert q == ConjunctiveQuery(("a", "c"), self.ATOMS) and hash(agg)
+        reference = nested_loop(q, self.RELS, agg)
+        assert reference
+        plan = convert_left_deep(q, ("R", "S"))
+        tree = BushyPlan(*self.ATOMS)
         for result, _ in (
             execute(q, plan, self.RELS, agg, StructurePolicy(policy)),
             execute_bushy(q, tree, self.RELS, agg, StructurePolicy(policy)),
