@@ -149,14 +149,14 @@ def _result_summary(result, limit: int) -> list[str]:
 
 
 def _first_difference(result, reference):
-    """First differing tuple between a full ResultBag and the reference bag."""
+    """First differing tuple between a full ResultBag and the reference bag,
+    which ``matches_reference`` has found to differ."""
     keys = sorted(set(result.tuples) | set(reference))
     for k in keys:
         a = result.tuples.get(k, 0)
         b = reference.get(k, 0)
         if a != b:
             return k, a, b
-    return None
 
 
 def cmd_run(args) -> int:
@@ -180,10 +180,8 @@ def cmd_run(args) -> int:
         else:
             print("check: FAIL")
             if result.kind == AGG_FULL:
-                diff = _first_difference(result, reference)
-                if diff is not None:
-                    k, a, b = diff
-                    print(f"  first difference at {k}: got multiplicity {a}, expected {b}")
+                k, a, b = _first_difference(result, reference)
+                print(f"  first difference at {k}: got multiplicity {a}, expected {b}")
             else:
                 print(f"  got {result.count if result.kind == AGG_COUNT else result.minima},"
                       f" expected {reference}")

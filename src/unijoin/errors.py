@@ -1,4 +1,5 @@
-"""Exception hierarchy for the join engine."""
+"""Exception hierarchy for the join engine, and the check that turns a
+sequence of names into a tuple, refusing a bare string."""
 
 
 class EngineError(Exception):
@@ -31,3 +32,12 @@ class ExecutionError(EngineError):
 
 class BudgetExceededError(EngineError):
     """Brute-force enumeration would exceed the step budget."""
+
+
+def names_tuple(names, error: type[EngineError], owner: str) -> tuple:
+    """``names`` (attributes or variables) as a tuple, so a list of them
+    hashes and compares like the tuple; a bare string would read as one name
+    per character, so it raises ``error``, naming ``owner``."""
+    if isinstance(names, str):
+        raise error(f"{owner}: expected a sequence of names, not the string {names!r}")
+    return tuple(names)

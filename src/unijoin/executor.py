@@ -1,14 +1,14 @@
 """Unified plan interpreter.
 
-One evaluator runs every plan in the spectrum.  One pass decides each
-atom's access once, as a record: the relation (a sorted copy when sorted
-dictionaries need one), the trie root, the leaf spec, the dictionary kind
-and how many subatoms descend trie levels, one level each, keyed by the
-subatom's variable or by the tuple of its variables (Free Join's generalized
-hash trie).  Each plan node is compiled straight from these records into
-what its first subatom iterates -- the row offsets of a leaf (a scan walks a
-range leaf over every row), or the keys of one trie level -- and a flat
-tuple of probes.
+One evaluator runs every plan in the spectrum.  One pass per atom builds
+its trie -- over a sorted copy when sorted dictionaries need one, one level
+per subatom that descends it, keyed by the subatom's variable or by the
+tuple of its variables (Free Join's generalized hash trie) -- and, where the
+trie is made, compiles each of its subatoms into a part record of one shape.
+An atom's last part reads leaves; each other part descends one level to a
+trie node.  A plan node is the part it iterates first -- the row offsets of
+a leaf (a scan walks a range leaf over every row), or the keys of one trie
+level -- and the tuple of the parts it probes.
 
 Every node runs the same iterate-then-probe step over a batch of rows, in
 C-level passes over columns (``map``, ``compress``, ``chain``, and
@@ -293,9 +293,9 @@ def _semijoin_reduce(node, relations, var_attr):
     returns before this when they differ), so a sorted column can be
     bisected for the values."""
     holders: dict[str, list] = {}  # variable -> (relation, attribute) pairs
-    for sub in node:
+    for subatom in node:
         for (name, v), attr in var_attr.items():
-            if name == sub.relation:
+            if name == subatom.relation:
                 holders.setdefault(v, []).append((name, attr))
     out = dict(relations)
     for pairs in holders.values():
@@ -468,21 +468,27 @@ def execute(
         if relations is None:
             stats.build_ms += (time.perf_counter() - t0) * 1000.0
             return result, stats
-    # One access record per atom: (relation, root, leaf spec, keyed parts,
-    # parts).  The first ``keyed`` parts descend a level each; a last part
-    # that a node iterates first walks the leaf offsets (a scan walks a
-    # range leaf over every row).  Part 0 starts from ``root``; part ``i``
-    # from the trie node part ``i - 1`` reached, which the batch holds as
-    # the column ``(atom, i)``.
-    access = {}
+    # Each atom's trie is built and its parts compiled in one pass, one part
+    # per subatom, into the record ``compiled[ni][pos]`` = (start, root,
+    # bind, spec, child, weights) of the node that reads it.  Part 0 starts
+    # from ``root``; part ``i`` from the column ``start`` = ``(atom, i)`` of
+    # trie nodes that part ``i - 1`` reached.  An atom's last part reads
+    # leaves: ``spec`` and ``weights`` are set, and ``bind`` is (var,
+    # column) pairs when its node iterates it first -- it walks the leaf
+    # offsets (a scan walks a range leaf over every row) -- and else its
+    # variables, a probe whose group sizes multiply.  Every other part
+    # descends the trie level keyed by its variables ``bind``, and the
+    # nodes it reaches form the column ``child`` = ``(atom, i + 1)``.
+    compiled = [[None] * len(node) for node in working.nodes]
     for name in sorted({s.relation for node in working.nodes for s in node}):
         subs = working.subatoms_of(name)
         rel = relations[name]
-        keyed = len(subs) - 1 if subs[-1][1] == 0 else len(subs)
+        walked = subs[-1][1] == 0  # a node iterates the last part first
+        keyed = subs[:-1] if walked else subs  # the parts that descend a level each
         if keyed:
-            levels = [tuple(var_attr[(name, v)] for v in sub.vars) for _, _, sub in subs[:keyed]]
+            levels = [tuple(var_attr[(name, v)] for v in subatom.vars) for _, _, subatom in keyed]
             rel, dict_kind, spec, sorted_copy = _choose_structures(
-                rel, tuple(chain.from_iterable(levels)), keyed == len(subs), policy, opts
+                rel, tuple(chain.from_iterable(levels)), not walked, policy, opts
             )
             stats.sort_ops += sorted_copy
             bag = intermediates.get(name)
@@ -493,47 +499,22 @@ def execute(
             if (bag is not None and dict_kind == HASH and spec.kind == LEAF_COUNT
                     and levels == [rel.attrs] and len(rel.attrs) > 1 and len(bag) == rel.size):
                 root = bag
-                stats.trie_build_insertions += rel.size
             else:
-                trie = build_trie(rel, [a[0] if len(a) == 1 else a for a in levels], dict_kind, spec)
-                stats.trie_build_insertions += trie.insertions
-                root = trie.root
+                key_attrs = [a[0] if len(a) == 1 else a for a in levels]
+                root = build_trie(rel, key_attrs, dict_kind, spec).root
+            stats.trie_build_insertions += rel.size
             stats.deep_intermediate_tries += bag is not None
         else:
             root, spec = range(rel.size), LeafSpec(LEAF_RANGE)
-        access[name] = (rel, root, spec, keyed, len(subs))
+        for idx, (ni, pos, subatom) in enumerate(subs):
+            last = idx == len(subs) - 1
+            bind = subatom.vars
+            if last and not pos:  # bind from the rows at each offset
+                bind = tuple((v, rel.columns[var_attr[(name, v)]]) for v in bind)
+            compiled[ni][pos] = ((name, idx) if idx else None, root, bind, spec if last else None,
+                                 (name, idx + 1), rel.weights if last else None)
     stats.build_ms += (time.perf_counter() - t0) * 1000.0
-
-    # Compile each node into (leaf spec, start, root, bind, weights, child,
-    # probes).  ``start`` is the column of trie nodes the first subatom
-    # starts from, or None when it starts from ``root``.  The spec is set
-    # when the first subatom walks leaf offsets, and bind is then (var,
-    # column) pairs; else it walks the trie level keyed by its variables
-    # ``bind``, and the nodes it reaches form the column ``child``.  A probe
-    # is (start, root, vars, leaf spec or None, child): the spec is set for
-    # an atom's final, probe-only part, whose group size multiplies, and
-    # else the nodes it reaches form the column ``child``.
-    part = dict.fromkeys(access, 0)  # atom -> index of its next part
-    nodes = []
-    for node in working.nodes:
-        probes = []
-        for pos, subatom in enumerate(node):
-            name = subatom.relation
-            rel, root, spec, keyed, parts = access[name]
-            idx = part[name]
-            part[name] += 1
-            start = (name, idx) if idx else None
-            child = (name, idx + 1)
-            if pos:
-                final = idx + 1 == parts
-                probes.append((start, root, subatom.vars, spec if final else None, child))
-            elif idx == keyed:  # bind from the rows at each offset
-                cols = rel.columns
-                bind = tuple((v, cols[var_attr[(name, v)]]) for v in subatom.vars)
-                first = (spec, start, root, bind, rel.weights, None)
-            else:
-                first = (None, start, root, subatom.vars, None, child)
-        nodes.append(first + (tuple(probes),))
+    nodes = [(first, tuple(probes)) for first, *probes in compiled]
 
     # A trailing run of single-subatom nodes whose iterator is terminal
     # (leaf offsets, a scan's among them) touches nothing downstream, so
@@ -541,7 +522,7 @@ def execute(
     suffix_start = len(nodes)
     if opts.o5 and agg.kind in (AGG_COUNT, AGG_MIN):
         while suffix_start > 0:
-            spec, _, _, _, _, _, probes = nodes[suffix_start - 1]
+            (_, _, _, spec, _, _), probes = nodes[suffix_start - 1]
             if probes or spec is None:
                 break
             suffix_start -= 1
@@ -550,12 +531,12 @@ def execute(
     # The columns that node ``ni``'s probes read, with the multiplicities
     # (``reads``), and those that its probes, a later node or the result read
     # (``needed``): an expansion carries only the latter.
-    live = {_MULT, *out_vars}.union(start for _, start, _, _, _, _, _ in tail)
+    live = {_MULT, *out_vars}.union(start for (start, _, _, _, _, _), _ in tail)
     reads = [None] * suffix_start
     needed = [None] * suffix_start
     for ni in range(suffix_start - 1, -1, -1):
-        _, start, _, _, _, _, probes = nodes[ni]
-        reads[ni] = {_MULT}.union(*((p[0], *p[2]) for p in probes))
+        (start, _, _, _, _, _), probes = nodes[ni]
+        reads[ni] = {_MULT}.union(*((pstart, *pvars) for pstart, _, pvars, _, _, _ in probes))
         needed[ni] = live = live | reads[ni]
         live = live | {start}
 
@@ -578,10 +559,10 @@ def execute(
         (one a probe reads, or the multiplicities) is listed anew after a
         drop; any other, a rider, is only wrapped in ``compress``, to be
         listed by ``run`` if rows survive.  A probe adds the trie nodes it
-        reaches to the batch as a column, or, for a probe-only part,
+        reaches to the batch as a column, or, for an atom's last part,
         multiplies the multiplicity column by the group sizes.  Lookups,
         hits and comparisons go to ``ExecStats`` per probe."""
-        for start, root, pvars, spec, child in probes:
+        for start, root, pvars, spec, child, _ in probes:
             keys = _keys(batch, pvars, n)
             stats.probes += n
             if root.__class__ is SortedDict:
@@ -627,12 +608,13 @@ def execute(
         """Fold a batch of ``n`` satisfying rows into the ``ResultBag`` and
         its outputs into ``ExecStats``.  The factorized tail multiplies each
         row by its leaves' sizes (or weights) and, for ``min``, folds in each
-        leaf's least value instead of walking it."""
+        leaf's least value instead of walking it.  A tail part that scans a
+        relation has one group, which serves every row: it is read once per
+        batch, and its size is charged per row."""
         mults = batch.get(_MULT)
         least = {}
-        for spec, start, root, bind, weights, _, _ in tail:
-            starts = [root] * n if start is None else batch[start]
-            groups = leaves_offsets(starts, spec)
+        for (start, root, bind, spec, _, weights), _ in tail:
+            groups = leaves_offsets([root] if start is None else batch[start], spec)
             sizes = list(map(len, groups))
             if weights is not None or agg.kind == AGG_MIN:
                 get = gather(list(chain.from_iterable(groups)))
@@ -641,6 +623,8 @@ def execute(
                 upto = list(accumulate(get(weights), initial=0))
                 ends = gather(list(accumulate(sizes, initial=0)))(upto)
                 counts = list(map(sub, islice(ends, 1, None), ends))
+            if start is None:  # a scan: its one group serves every row
+                sizes, counts = sizes * n, counts * n
             mults = counts if mults is None else list(map(mul, mults, counts))
             if agg.kind == AGG_MIN:
                 for v, col in bind:
@@ -667,13 +651,14 @@ def execute(
                     bag[row] = get(row, 0) + mult
 
     def run(ni: int, batch: dict, n: int):
-        """Expand a batch of ``n`` rows by node ``ni``'s first subatom --
-        each row by its leaf's row offsets, or by the (key, child) pairs of
-        one trie level, a key tuple unzipped into a column per variable --
-        then probe the other subatoms and recurse, at most ``BATCH`` rows at
-        a time and in row order.  ``batch`` is one dict of columns, the
-        multiplicities under ``_MULT`` once some row counts more than once;
-        each expansion adds its intermediates to ``ExecStats``.
+        """Expand a batch of ``n`` rows by node ``ni``'s first part -- each
+        row by its leaf's row offsets, when the part is its atom's last, or
+        by the (key, child) pairs of one trie level, a key tuple unzipped
+        into a column per variable -- then probe the node's other parts and
+        recurse, at most ``BATCH`` rows at a time and in row order.
+        ``batch`` is one dict of columns, the multiplicities under ``_MULT``
+        once some row counts more than once; each expansion adds its
+        intermediates to ``ExecStats``.
 
         Each column the node carries is an iterator over the expanded rows:
         a column of ``batch`` repeated per row, or, when ``_slice_pays``, a
@@ -684,7 +669,7 @@ def execute(
         if ni == suffix_start:
             finish(batch, n)
             return
-        spec, start, root, bind, weights, child, probes = nodes[ni]
+        (start, root, bind, spec, child, weights), probes = nodes[ni]
         starts = [root] * n if start is None else batch[start]
         if spec is not None:
             groups = leaves_offsets(starts, spec)
@@ -765,21 +750,20 @@ def execute_bushy(
     ]
     rels = dict(relations)
     bags: dict[str, dict] = {}
-    for stage, sub_q, plan in zip(stages, sub_qs, plans):
-        # The root stage's head is the output, so its aggregate names no
-        # variable: one that a COUNT names may not occur in the root's body.
-        result, _ = execute(
-            sub_q, plan, rels, AggregationSpec(agg.kind if stage.target is None else AGG_FULL),
-            policy, opts, stats, bags,
-        )
-        if stage.target is None:
-            return result, stats
+    # ``decompose_bushy`` appends the root stage last; every stage before it
+    # materializes.
+    full = AggregationSpec(AGG_FULL)
+    for stage, sub_q, plan in zip(stages[:-1], sub_qs, plans):
+        result, _ = execute(sub_q, plan, rels, full, policy, opts, stats, bags)
         bag = bags[stage.target] = result.tuples
         stats.intermediate_tuples += len(bag)
         rels[stage.target] = Relation.from_rows(
             stage.target, stage.out_vars, bag, weights=bag.values()
         )
-    raise ExecutionError("bushy decomposition produced no root stage")
+    # The root stage's head is the output, so its aggregate names no
+    # variable: one that a COUNT names may not occur in the root's body.
+    return execute(sub_qs[-1], plans[-1], rels, AggregationSpec(agg.kind),
+                   policy, opts, stats, bags)
 
 
 def check_against_oracle(

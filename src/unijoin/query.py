@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import PlanError, QueryError
+from .errors import PlanError, QueryError, names_tuple
 
 AGG_FULL = "full"
 AGG_COUNT = "count"
@@ -21,16 +21,9 @@ AGG_MIN = "min"
 
 
 def _names_tuple(obj, field: str, owner: str) -> None:
-    """Store ``obj``'s variables under ``field`` as a tuple, as ``Relation``
-    stores its columns, so a hand-built list of variables hashes; a bare
-    string would read as one variable per character, so it is refused,
-    naming ``owner``."""
-    names = getattr(obj, field)
-    if isinstance(names, str):
-        raise QueryError(
-            f"{owner}: variables must be a sequence of names, not the string {names!r}"
-        )
-    object.__setattr__(obj, field, tuple(names))
+    """Store ``obj``'s variables under ``field`` as a tuple, refusing a bare
+    string (``names_tuple``), as ``Relation`` stores its attributes."""
+    object.__setattr__(obj, field, names_tuple(getattr(obj, field), QueryError, owner))
 
 
 @dataclass(frozen=True)

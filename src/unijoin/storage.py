@@ -31,7 +31,7 @@ from itertools import compress, count, islice, repeat
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from types import MappingProxyType
 
-from .errors import LoadError, SchemaError, SortednessError
+from .errors import LoadError, SchemaError, SortednessError, names_tuple
 
 INT = "int"
 STR = "str"
@@ -77,7 +77,8 @@ class Relation:
     uses bag semantics throughout.  ``weights`` is None (every row counts
     once) or a tuple of positive ints, one per row, each the number of times
     its row counts.  The constructor also accepts lists and plain dicts, and
-    stores tuple copies of them.
+    stores tuple copies of them; a bare string of attribute names, in
+    ``attrs`` or ``sorted_by``, is refused.
     """
 
     name: str
@@ -87,6 +88,8 @@ class Relation:
     weights: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        owner = f"relation {self.name}"
+        object.__setattr__(self, "attrs", names_tuple(self.attrs, SchemaError, owner))
         if len(set(self.attrs)) != len(self.attrs):
             raise SchemaError(f"relation {self.name}: duplicate attribute names {self.attrs}")
         if set(self.columns) != set(self.attrs):
@@ -112,7 +115,7 @@ class Relation:
             object.__setattr__(self, "weights", tuple(self.weights))
             self._check_weights()
         if self.sorted_by is not None:
-            object.__setattr__(self, "sorted_by", tuple(self.sorted_by))
+            object.__setattr__(self, "sorted_by", names_tuple(self.sorted_by, SchemaError, owner))
             unknown = set(self.sorted_by) - set(self.attrs)
             if unknown:
                 raise SchemaError(f"relation {self.name}: sorted_by names unknown attrs {unknown}")
@@ -184,7 +187,7 @@ class Relation:
     def from_rows(cls, name, attrs, rows, sorted_by=None, weights=None) -> "Relation":
         """Relation over ``rows`` (tuples in ``attrs`` order), with an
         optional weight per row."""
-        attrs = tuple(attrs)
+        attrs = names_tuple(attrs, SchemaError, f"relation {name}")
         rows = list(rows)
         if set(map(len, rows)) - {len(attrs)}:
             bad = next(r for r in rows if len(r) != len(attrs))
@@ -211,10 +214,11 @@ class Relation:
     def sorted_copy(self, order: tuple[str, ...]) -> "Relation":
         """Rows re-sorted lexicographically by ``order`` then the remaining
         attrs; each row keeps its weight."""
+        order = names_tuple(order, SchemaError, f"relation {self.name}")
         for a in order:
             if a not in self.attrs:
                 raise SchemaError(f"relation {self.name}: unknown attribute {a!r}")
-        full_order = tuple(order) + tuple(a for a in self.attrs if a not in order)
+        full_order = order + tuple(a for a in self.attrs if a not in order)
         keys = list(zip(*(self.columns[a] for a in full_order)))
         return self.take(sorted(range(self.size), key=keys.__getitem__), sorted_by=full_order)
 
@@ -293,7 +297,7 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
         raise _load_error(path, attrs, kinds) from None
     cols.reverse()  # each list is freed as its tuple is made, to bound peak memory
     return Relation(name, attrs, {a: tuple(cols.pop()) for a in attrs},
-                    sorted_by=tuple(sorted_by) if sorted_by else None)
+                    sorted_by=sorted_by or None)
 
 
 def _load_error(path, attrs, kinds) -> LoadError:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ne, or_, sub
 
-from .errors import ExecutionError, SortednessError
+from .errors import ExecutionError, SortednessError, names_tuple
 from .storage import Relation, gather
 
 HASH = "hash"
@@ -175,7 +175,7 @@ def build_trie(rel: Relation, key_attrs, dict_kind: str, leaf: LeafSpec) -> Trie
     relation's declared order, verified when it was built; a range leaf
     requires sorted dictionaries (contiguity comes from the sort).
     """
-    key_attrs = tuple(key_attrs)
+    key_attrs = names_tuple(key_attrs, ExecutionError, "build_trie")
     flat = tuple(chain.from_iterable(a if a.__class__ is tuple else (a,) for a in key_attrs))
     for a in flat:
         if a not in rel.attrs:

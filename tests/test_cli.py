@@ -1,9 +1,14 @@
 """Command-line driver: catalog parsing, run/gen-triangle, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unijoin
 from unijoin import cli
 from unijoin.cli import load_catalog, main
 from unijoin.errors import SchemaError
@@ -92,6 +97,14 @@ class TestRun:
             self.run(workspace, "--agg", "count")
         assert exc.value.code == 2
         assert "unrecognized arguments: --agg" in capsys.readouterr().err
+
+    def test_min_over_an_empty_join(self, workspace, capsys):
+        (workspace / "s.csv").write_text("99,1\n")
+        (workspace / "query.txt").write_text("Q(MIN(z)) :- R(x,y), S(y,z)\n")
+        assert self.run(workspace, "--check", "--stats", "none") == 0
+        assert capsys.readouterr().out == (
+            "result kind=min empty=true (no satisfying assignment)\ncheck: PASS\n"
+        )
 
     def test_check_failure_exit_3(self, workspace, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -287,6 +300,17 @@ def test_bad_flag_exit_2(workspace, capsys, command, flag, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(unijoin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "unijoin", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ") and "gen-triangle" in done.stdout
 
 
 class TestGenTriangle:

@@ -462,6 +462,44 @@ class TestToggles:
         assert (s_on.min_ops, s_off.min_ops) == (14, 72)
         assert s_on.output_tuples == s_off.output_tuples == k * k
 
+    @pytest.mark.parametrize("batch", [1024, 3])
+    def test_o5_scan_tail_reads_its_one_group_once_per_batch(self, batch, monkeypatch):
+        """A tail node that scans a relation sharing no variable with the
+        rest of the plan has one group, which serves every row of a batch:
+        no read of it gathers more offsets than the relation has rows, while
+        ``min_ops`` still charges the group's size per row."""
+        rng = random.Random(5)
+        r_rows = [(rng.randrange(8),) for _ in range(20)]
+        s_rows = [(rng.randrange(8),) for _ in range(20)]
+        t_rows = [(rng.randrange(100),) for _ in range(40)]
+        s_values = {x for x, in s_rows}
+        k = sum(x in s_values for x, in r_rows)  # the R rows that reach the tail
+        widths = []
+        real = executor.gather
+
+        def spy(offsets):
+            widths.append(len(offsets))
+            return real(offsets)
+
+        monkeypatch.setattr(executor, "BATCH", batch)
+        monkeypatch.setattr(executor, "gather", spy)
+        plan = parse_plan("R(x), S(x)\nT(y)")
+        for weights in (None, [rng.randint(1, 3) for _ in t_rows]):
+            rels = {
+                "R": Relation.from_rows("R", ("x",), r_rows),
+                "S": Relation.from_rows("S", ("x",), s_rows),
+                "T": Relation.from_rows("T", ("y",), t_rows, weights=weights),
+            }
+            for text, opts in (("Q(MIN(x,y)) :- R(x), S(x), T(y)", OptConfig()),
+                               ("Q(COUNT) :- R(x), S(x), T(y)", OptConfig(o3=False))):
+                q, agg = parse_query(text)
+                widths.clear()
+                result, stats = execute(q, plan, rels, agg, opts=opts)
+                assert result.matches_reference(nested_loop(q, rels, agg))
+                assert max(widths, default=0) <= len(t_rows), (text, weights)
+                if agg.kind == AGG_MIN:
+                    assert stats.min_ops == k * len(t_rows) + 2 * k
+
     def test_opt_config_parsing(self):
         assert OptConfig.from_text("all") == OptConfig()
         assert OptConfig.from_text("none") == OptConfig.none()
@@ -551,6 +589,21 @@ class TestEdgeCases:
         plan = convert_left_deep(q, ("R", "S"))
         result, _ = execute(q, plan, rels, agg)
         assert result.kind == AGG_MIN and result.minima is None
+
+    def test_relations_built_from_lists_of_names(self):
+        """A relation built with lists of attribute names holds tuples, so
+        it runs under every policy like the tuple-built one."""
+        q, agg = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
+        listed = {
+            "R": Relation("R", ["a", "b"], {"a": [1, 1, 2], "b": [5, 6, 5]}, sorted_by=["a", "b"]),
+            "S": Relation.from_rows("S", ["a", "b"], [(5, 7), (6, 8)], sorted_by=["a"]),
+        }
+        reference = nested_loop(q, listed, agg)
+        assert reference == {(1, 5, 7): 1, (1, 6, 8): 1, (2, 5, 7): 1}
+        for plan in plans_for(q):
+            for policy in POLICIES:
+                result, _ = execute(q, plan, listed, agg, policy)
+                assert result.matches_reference(reference), (str(plan), policy)
 
     def test_missing_relation(self):
         q, agg = parse_query("Q(x) :- R(x)")

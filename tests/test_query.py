@@ -43,6 +43,8 @@ class TestParseQuery:
         assert q.head == ("x", "y")
         assert [str(a) for a in q.atoms] == ["R(x,y)", "S(y)"]
         assert agg.kind == "full"
+        assert str(q) == "Q(x,y) :- R(x,y), S(y)"
+        assert str(parse_query("Q(x) :- R(x,y), S(y)")[0]) == "Q(x) :- R(x,y), S(y)"
 
     def test_count_head(self):
         q, agg = parse_query("Q(COUNT) :- R(x,y)")

@@ -191,6 +191,44 @@ class TestRelation:
         assert (rel.rows(), rel.weights, rel.sorted_by) == ([(1,), (2,), (3,)], (4, 5, 6), ("a",))
 
 
+class TestNameSequences:
+    """Every sequence of attribute names is stored as a tuple, and a bare
+    string, which would read as one name per character, is refused."""
+
+    COLUMNS = {"a": (1, 2), "b": (3, 4)}
+
+    def test_lists_are_stored_as_tuples(self, tmp_path):
+        want = Relation("R", ("a", "b"), self.COLUMNS, sorted_by=("a", "b"))
+        built = Relation("R", ["a", "b"], self.COLUMNS, sorted_by=["a", "b"])
+        assert (built.attrs, built.sorted_by) == (("a", "b"), ("a", "b"))
+        assert built == want
+        rows = Relation.from_rows("R", ["a", "b"], [(1, 3), (2, 4)], sorted_by=["a", "b"])
+        assert rows.attrs == ("a", "b") and rows == want
+        p = tmp_path / "r.csv"
+        p.write_text("1,3\n2,4\n")
+        loaded = load_csv(p, "R", [("a", "int"), ("b", "int")], sorted_by=["a", "b"])
+        assert loaded.sorted_by == ("a", "b") and loaded == want
+        resorted = want.sorted_copy(["b"])
+        assert resorted.sorted_by == ("b", "a")
+
+    def test_bare_strings_are_refused(self, tmp_path):
+        refused = pytest.raises(SchemaError, match="relation R: .* not the string 'ab'")
+        with refused:
+            Relation("R", "ab", self.COLUMNS)
+        with refused:
+            Relation("R", ("a", "b"), self.COLUMNS, sorted_by="ab")
+        with refused:
+            Relation.from_rows("R", "ab", [(1, 3)])
+        with refused:
+            Relation.from_rows("R", ("a", "b"), [(1, 3)], sorted_by="ab")
+        p = tmp_path / "r.csv"
+        p.write_text("1,3\n2,4\n")
+        with refused:
+            load_csv(p, "R", [("a", "int"), ("b", "int")], sorted_by="ab")
+        with pytest.raises(SchemaError, match="relation R: .* not the string 'ba'"):
+            Relation("R", ("a", "b"), self.COLUMNS).sorted_copy("ba")
+
+
 class TestWeights:
     def test_weights_kept(self):
         rel = Relation.from_rows("R", ("a",), [(1,), (2,)], weights=[3, 1])

@@ -253,6 +253,17 @@ class TestBuildTrie:
             with pytest.raises(ExecutionError, match="has no attribute"):
                 build_trie(rel, levels, dict_kind, LeafSpec(LEAF_VEC))
 
+    @pytest.mark.parametrize("dict_kind", (HASH, SORTED))
+    def test_key_attributes_as_a_list_or_a_bare_string(self, dict_kind):
+        """A list of key attributes builds the tuple's trie; a bare string
+        once built one level per character."""
+        rel = Relation.from_rows("R", ("a", "b"), [(1, 2), (1, 3)], sorted_by=("a", "b"))
+        listed = build_trie(rel, ["a", "b"], dict_kind, LeafSpec(LEAF_VEC))
+        assert trie_contents(listed) == trie_contents(
+            build_trie(rel, ("a", "b"), dict_kind, LeafSpec(LEAF_VEC)))
+        with pytest.raises(ExecutionError, match="build_trie: .* not the string 'ab'"):
+            build_trie(rel, "ab", dict_kind, LeafSpec(LEAF_VEC))
+
     @pytest.mark.parametrize(
         "rows, keys, dict_kind, leaf, message",
         [
