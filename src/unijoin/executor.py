@@ -24,18 +24,19 @@ offsets with one gather each, or, over range leaves (runs of a sorted
 relation's rows) that hold enough rows on average (``_slice_pays``), as one
 slice per leaf; each probe is one lookup per row, the same ``get`` on
 either dictionary kind (a sorted one bisects its keys), and rows that miss
-are dropped before the next.  A probe from a trie root first finds which of
-the batch's keys can hit, and drops a batch with none before any per-row
-lookup.  A sorted root is searched once per distinct key, in ascending
-order, each bisect starting where the last one ended (Leapfrog Triejoin's
-seek, Veldhuizen, ICDT 2014), and the rows look up the hits.  A hash root
-tests the batch's keys with one C-level ``isdisjoint`` only when this
-probe's last batch died, so a run of dead batches costs one test each and
-a live run none (the step is chosen from the last batch's outcome, as in
-Vectorwise's micro-adaptivity).  A probe from a column of trie nodes looks
-each row up in its own node.  An expansion lists only the columns its
-node's probes read -- the trie nodes they start from, their key variables
--- and the multiplicities.  Every other column it carries, a sliced bound
+are dropped before the next.  A probe from a trie root whose last batch
+died, of either dictionary kind, first tests each key column of the batch
+against the root's values at that key position with one C-level
+``isdisjoint``, and drops the batch at the first column that meets none,
+before any per-row lookup: a run of dead batches costs a column test each
+and a live run none (the step is chosen from the last batch's outcome, as
+in Vectorwise's micro-adaptivity).  A sorted root is searched once per
+distinct key, in ascending order, each bisect starting where the last one
+ended (Leapfrog Triejoin's seek, Veldhuizen, ICDT 2014), and the rows look
+up the hits; one that finds none of the keys drops the batch.  A probe
+from a column of trie nodes looks each row up in its own node.  An
+expansion lists only the columns its node's probes read -- the trie nodes
+they start from, their key variables -- and the multiplicities.  Every other column it carries, a sliced bound
 column too, is a rider (late materialization, Abadi et al., ICDE 2007): a lazy iterator
 over the column's repeated values, which each probe that drops rows wraps
 in ``compress`` and which is listed only for the rows that survive every
@@ -359,6 +360,16 @@ def _keys(batch: dict, pvars: tuple, n: int):
     return zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
 
 
+def _value_sets(level, arity: int) -> list:
+    """The values at each key position of a root level keyed by ``arity``
+    variables, as sets: a hash level's own key view for one variable, else
+    a set per position of its key tuples."""
+    keys = level.keys if level.__class__ is SortedDict else level.keys()
+    if arity == 1:
+        return [set(keys) if level.__class__ is SortedDict else keys]
+    return list(map(set, zip(*keys)))
+
+
 def _seek(level: SortedDict, keys) -> dict:
     """The entries of ``level`` under ``keys``, as a dict from each key
     found to its value.  Each distinct key is bisected once, in ascending
@@ -541,21 +552,24 @@ def execute(
         live = live | {start}
 
     dead = set()  # the probes (by ``child``) whose last batch no row survived
+    values = {}  # a dead root probe's value set per key variable, by ``child``
 
     def probe(batch, n, probes, reads):
         """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
         row each, dropping a row that misses from every column, and return
         the rows left.  A lookup is ``get`` on a dictionary, whichever its
         kind: a probe from a column of trie nodes maps the level class's
-        ``get`` over it, and a probe from the root maps a plain dict's.
-        That dict is the root's hits among the batch's distinct keys
-        (``_seek``) for a sorted root, and a hash root itself, which, when
-        this probe's last batch died, first tests the batch's keys with
-        one C-level ``isdisjoint``.  A root probe that finds none of the
-        keys drops the batch before any per-row lookup.  A sorted level's
-        comparisons are charged in bulk, before any row is dropped:
-        ``k.bit_length()`` for each row whose lookup met k keys, hit or
-        miss, as a row-at-a-time loop counts them.  A column in ``reads``
+        ``get`` over it, and a probe from the root maps a plain dict's:
+        the root's hits among the batch's distinct keys (``_seek``) for a
+        sorted root, a hash root itself.  When this probe's last batch
+        died, a root probe of either kind first tests each key column
+        against the root's values at that position (``_value_sets``, made
+        on the probe's first dead batch and kept for this call only), and
+        drops the batch at the first disjoint one.  A sorted root whose
+        seek finds none of the keys drops the batch too, before any per-row
+        lookup.  A sorted level's comparisons are charged in bulk, before
+        any row is dropped: ``k.bit_length()`` for each row whose lookup
+        met k keys, hit or miss, as a row-at-a-time loop counts them.  A column in ``reads``
         (one a probe reads, or the multiplicities) is listed anew after a
         drop; any other, a rider, is only wrapped in ``compress``, to be
         listed by ``run`` if rows survive.  A probe adds the trie nodes it
@@ -569,13 +583,15 @@ def execute(
                 stats.comparisons += (len(root).bit_length() * n if start is None else sum(
                     map(int.bit_length, map(len, map(attrgetter("keys"), batch[start])))))
             if start is None:
+                if child in dead:
+                    if child not in values:
+                        values[child] = _value_sets(root, len(pvars))
+                    if any(v.isdisjoint(batch[var]) for v, var in zip(values[child], pvars)):
+                        return 0
                 if root.__class__ is SortedDict:
                     root = _seek(root, keys)
                     if not root:
-                        return 0
-                    keys = _keys(batch, pvars, n)
-                elif child in dead:
-                    if root.keys().isdisjoint(keys):
+                        dead.add(child)
                         return 0
                     keys = _keys(batch, pvars, n)
                 node = list(map(root.get, keys, repeat(_MISSING)))

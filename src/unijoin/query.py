@@ -92,6 +92,7 @@ class ConjunctiveQuery:
 
     def __post_init__(self):
         _names_tuple(self, "head", "query head")
+        object.__setattr__(self, "atoms", tuple(self.atoms))
         names = [a.relation for a in self.atoms]
         if len(set(names)) != len(names):
             raise QueryError(
@@ -121,6 +122,9 @@ class ConjunctiveQuery:
 @dataclass(frozen=True)
 class FreeJoinPlan:
     nodes: tuple[tuple[Subatom, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(map(tuple, self.nodes)))
 
     def __str__(self):
         return "\n".join(", ".join(str(s) for s in node) for node in self.nodes)
@@ -243,7 +247,7 @@ def parse_plan(text: str) -> FreeJoinPlan:
         line = line.strip()
         if line and not line.startswith("#"):
             nodes.append(tuple(Subatom(*sub) for sub in _atom_list(line, "plan line")))
-    return FreeJoinPlan(tuple(nodes))
+    return FreeJoinPlan(nodes)
 
 
 def plan_violation(q: ConjunctiveQuery, plan: FreeJoinPlan) -> str | None:
@@ -313,7 +317,7 @@ def convert_left_deep(q: ConjunctiveQuery, order) -> FreeJoinPlan:
     A relation fully covered by the prefix contributes no iteration node;
     its probe simply stays in the previous node.
     """
-    atoms = [q.atom(a) for a in order]
+    atoms = [q.atom(a) for a in names_tuple(order, PlanError, "left-deep order")]
     if {a.relation for a in atoms} != {a.relation for a in q.atoms}:
         raise PlanError("left-deep order must cover exactly the query's atoms")
     nodes: list[list[Subatom]] = []
@@ -333,7 +337,7 @@ def convert_left_deep(q: ConjunctiveQuery, order) -> FreeJoinPlan:
                     f"cartesian product: {nxt.relation} shares no variable with the prefix"
                 )
             nodes[-1].append(Subatom(nxt.relation, shared))
-    plan = FreeJoinPlan(tuple(tuple(n) for n in nodes))
+    plan = FreeJoinPlan(nodes)
     validate_plan(q, plan)
     return plan
 
@@ -382,7 +386,7 @@ def optimize_plan(q: ConjunctiveQuery, plan: FreeJoinPlan, mode: str) -> FreeJoi
                 if v in atom_by_rel[rel].vars
             )
             nodes.append(node)
-        out = FreeJoinPlan(tuple(nodes))
+        out = FreeJoinPlan(nodes)
     elif mode == MODE_FREEJOIN:
         out = _hoist_probes(plan)
     else:
@@ -421,7 +425,7 @@ def _hoist_probes(plan: FreeJoinPlan) -> FreeJoinPlan:
                     break
             new_nodes[target].append(sub)
             placed_at[(sub.relation, idx)] = target
-    return FreeJoinPlan(tuple(tuple(n) for n in new_nodes))
+    return FreeJoinPlan(new_nodes)
 
 
 @dataclass(frozen=True)
@@ -570,7 +574,7 @@ def liveness(q: ConjunctiveQuery, plan: FreeJoinPlan, agg: AggregationSpec) -> L
             # atoms, and an atom gets one subatom per node: the source stays.
             cur.insert(0, node[0])
         new_nodes.append(cur)
-    pruned = FreeJoinPlan(tuple(tuple(n) for n in new_nodes))
+    pruned = FreeJoinPlan(new_nodes)
 
     # Atoms whose every subatom was pruned act as pure multiplicity factors;
     # record them so the executor can account for their cardinality.

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -47,6 +48,7 @@ from unijoin.trie import (
     LEAF_SMALLVEC,
     SORTED,
     LeafSpec,
+    SortedDict,
     build_trie,
 )
 from unijoin.trie import _MISSING
@@ -257,25 +259,35 @@ class TestPinnedCounters:
     def test_sorted_root_probes_seek_each_distinct_key_once(self, monkeypatch):
         """Under ``sorted``, the binary plan's root probes (S on b, T on
         (c, a)) bisect each batch's distinct keys once, ascending, each
-        search starting where the batch's last one ended.  The comparisons
-        are still charged per row, as ``EXPECTED`` pins them."""
+        search starting where the batch's last one ended.  Once T's last
+        batch died, a batch whose ``c`` or ``a`` values all fall outside
+        T's is dropped before any search.  The comparisons are still
+        charged per row, as ``EXPECTED`` pins them."""
         q, agg = parse_query("Q(a,b,c) :- R(a,b), S(b,c), T(c,a)")
         rels = {r.name: r for r in gen_adversarial_triangle(40)}
         plan = convert_left_deep(q, ("R", "S", "T"))
         fan = {}
         for b, c in rels["S"].rows():
             fan.setdefault(b, []).append(c)
+        t_keys = set(rels["T"].rows())
+        t_values = tuple(map(set, zip(*t_keys)))  # T's c values, then its a values
 
         def distinct_keys(size):
-            """Each batch's distinct keys, summed: R's rows cut into batches
-            for S's probe, then each batch's rows that S expands, cut again
-            for T's."""
-            r_rows, total = rels["R"].rows(), 0
+            """Each searched batch's distinct keys, summed: R's rows cut
+            into batches for S's probe (every b meets S), then each batch's
+            rows that S expands, cut again for T's, skipping a batch that
+            the column test drops after a dead one."""
+            r_rows, total, dead = rels["R"].rows(), 0, False
             for lo in range(0, len(r_rows), size):
                 batch = r_rows[lo:lo + size]
                 total += len({b for _, b in batch})
                 keys = [(c, a) for a, b in batch for c in fan.get(b, ())]
-                total += sum(len(set(keys[i:i + size])) for i in range(0, len(keys), size))
+                for i in range(0, len(keys), size):
+                    part = keys[i:i + size]
+                    if dead and any(map(set.isdisjoint, t_values, zip(*part))):
+                        continue
+                    total += len(set(part))
+                    dead = t_keys.isdisjoint(part)
             return total
 
         searches = []
@@ -407,6 +419,76 @@ class TestPinnedCounters:
         assert all(misses) and len(sizes) > 2, (misses, sizes)
         assert results[0][1][self.COUNTERS.index("comparisons")] == comparisons
 
+
+class TestDeadBatchColumns:
+    """A root probe whose last batch died first tests each key column of
+    the next batch against the level's values at that key position, and
+    drops the batch at the first disjoint column, before any search or
+    per-row lookup.  R is scanned in blocks of ``BATCH`` rows, one batch
+    each, and probes T on the tuple (a, b).  The first block dies in the
+    lookup, every column meeting T's values, so each block after it is
+    tested.  A spy records every key looked up: a sorted root's keys as
+    ``_seek`` reads them, a hash root's as its ``get`` does."""
+
+    COUNTERS = TestPinnedCounters.COUNTERS
+    got = TestPinnedCounters.got
+
+    T_ROWS = [(1, 5), (2, 6), (3, 7), (9, 9)]  # a in {1, 2, 3, 9}, b in {5, 6, 7, 9}
+    DEAD = [(1, 6)]  # each value occurs in T, the pair does not
+    LIVE = [(9, 9), (9, 10)]  # a hit, and a miss that the lookup drops
+
+    # name -> (blocks of R's rows, which of them the column test drops)
+    CASES = {
+        "a disjoint": ([DEAD, [(4, 5)], LIVE], {1}),
+        "b disjoint": ([DEAD, [(2, 8), (3, 8)], LIVE], {1}),
+        "every column meets, no tuple hits": ([DEAD, [(2, 5), (3, 6)], LIVE], set()),
+        "dead, then live": ([DEAD, LIVE], set()),
+    }
+
+    @pytest.mark.parametrize("policy", ("hash", "hybrid", "sorted"))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_nested_loop(self, case, policy, monkeypatch):
+        q, agg = parse_query("Q(a,b) :- R(a,b), T(a,b)")
+        plan = convert_left_deep(q, ("R", "T"))
+        patterns, dropped = self.CASES[case]
+        looked_up = []
+
+        class Spy(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        seek, build = executor._seek, executor.build_trie
+
+        def seek_spy(level, keys):
+            keys = list(keys)
+            looked_up.extend(keys)
+            return seek(level, keys)
+
+        def build_spy(*args):
+            trie = build(*args)
+            return trie if trie.root.__class__ is SortedDict else replace(trie, root=Spy(trie.root))
+
+        monkeypatch.setattr(executor, "_seek", seek_spy)
+        monkeypatch.setattr(executor, "build_trie", build_spy)
+        for batch in TestPinnedCounters.BATCHES:
+            monkeypatch.setattr(executor, "BATCH", batch)
+            blocks = [sorted(p[i % len(p)] for i in range(batch)) for p in patterns]
+            rows = [row for block in blocks for row in block]
+            rels = {
+                "R": Relation.from_rows("R", ("a", "b"), rows, sorted_by=("a", "b")),
+                "T": Relation.from_rows("T", ("a", "b"), self.T_ROWS, sorted_by=("a", "b")),
+            }
+            reference = nested_loop(q, rels, agg)
+            looked_up.clear()
+            result, s = execute(q, plan, rels, agg, StructurePolicy(policy))
+            where = (batch, policy)
+            assert list(result.tuples.items()) == list(reference.items()), where
+            hits = sum(reference.values())
+            comparisons = len(rows) * len(self.T_ROWS).bit_length() if policy == "sorted" else 0
+            assert self.got(s) == (len(rows), hits, 0, hits, comparisons, 4, 0, 0), where
+            assert looked_up == [row for i, block in enumerate(blocks) if i not in dropped
+                                 for row in block], where
 
 class TestToggles:
     def test_o4_replaces_offsets_with_counts(self):

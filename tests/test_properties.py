@@ -2,7 +2,9 @@
 
 import re
 from dataclasses import fields
+from functools import partial
 from itertools import compress, islice
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -697,17 +699,21 @@ def repeating_keys(draw):
     the adversarial triangle.  R holds a fan of rows whose b S lacks, then
     a hub fan of rows on one b, then a matching of genuine triangles, in
     that order of a.  S repeats its hub row, so the hub fan expands into
-    (c, a) keys that each repeat and that T lacks.  Values are ints, or
-    strs that sort as the ints do; the relations are sorted and declare it,
-    or neither.  A few drawn rows are added."""
+    (c, a) keys that each repeat and that T lacks.  Some of the matched
+    a values also get a crossed row on the hub's b: its (c, a) key meets
+    T's values in each column, yet T lacks it.  Values are ints, or strs
+    that sort as the ints do; the relations are sorted and declare it, or
+    neither.  A few drawn rows are added."""
     cell = draw(st.sampled_from((int, "{:03d}".format)))
     lost, hub, copies, matched = (draw(st.integers(lo, hi))
                                   for lo, hi in ((0, 4), (1, 6), (1, 4), (1, 3)))
+    crossed = draw(st.integers(0, matched))
     a = iter(range(100))
     r = ([(next(a), 90) for _ in range(lost)] + [(next(a), 0) for _ in range(hub)]
          + [(next(a), 40 + j) for j in range(matched)])
     s = [(0, 1)] * copies + [(40 + j, 60 + j) for j in range(matched)]
     t = [(1, 99)] + [(60 + j, r[lost + hub + j][0]) for j in range(matched)]
+    r[lost + hub:lost + hub] = [(r[lost + hub + j][0], 0) for j in range(crossed)]
     noise = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3)
     order = draw(st.booleans())
     rels = {}
@@ -720,23 +726,54 @@ def repeating_keys(draw):
 
 
 def test_repeated_probe_keys_match_reference():
-    # A probe from a trie root first finds which of a batch's keys can hit:
-    # a sorted root seeks the distinct ones, a hash root whose last batch
-    # died tests the batch as a whole.  Each of the binary, generic-join and
-    # Free Join plans of a random join order runs under every policy at
-    # every batch size; results, their order and every counter must not
-    # depend on the batch size.  Some example must seek a sorted root for a
-    # batch whose keys repeat, and, at batches of one and three rows, find
-    # nothing for a batch before finding something for a later one.
+    # A probe from a trie root first finds which of a batch's keys can hit.
+    # Once its last batch died, it tests each key column of the batch
+    # against the root's values at that key position and drops the batch at
+    # the first disjoint one; a batch that passes goes on to the lookup, as
+    # every batch of a live probe does, where a sorted root seeks the
+    # distinct keys.  Each of the binary, generic-join and Free Join plans
+    # of a random join order runs under every policy at every batch size;
+    # results, their order and every counter must not depend on the batch
+    # size.  Some example must seek a sorted root for a batch whose keys
+    # repeat, and, at batches of one and three rows, find nothing for a
+    # batch before finding something for a later one.  Under each
+    # dictionary kind, a column test must drop a batch of one-variable keys
+    # and one of key tuples, and a batch of key tuples must pass it and
+    # then die in the lookup (the crossed rows).  A batch of one-variable
+    # keys that passes has a key the root holds, so it cannot die.
     reached = set()
     counters = [f.name for f in fields(ExecStats) if not f.name.endswith("_ms")]
     seek, seeks = executor._seek, []  # (level, keys repeat, found any) per seek
+    value_sets = executor._value_sets
 
     def seek_spy(level, keys):
         keys = list(keys)
         found = seek(level, keys)
         seeks.append((id(level), len(set(keys)) < len(keys), bool(found)))
         return found
+
+    def value_sets_spy(level, arity):
+        """The root's value sets, each wrapped to record what its column
+        test decided: a batch dropped, or passed and, by the root's keys,
+        dead or live."""
+        kind = "sorted" if level.__class__ is SortedDict else "hash"
+        keys = set(level.keys if kind == "sorted" else level.keys())
+        cols = []  # the batch's columns tested so far
+
+        def isdisjoint(values, col):
+            cols.append(col)
+            if values.isdisjoint(col):
+                reached.add(("dropped", kind, arity > 1))
+                cols.clear()
+                return True
+            if len(cols) == arity:
+                if keys.isdisjoint(cols[0] if arity == 1 else zip(*cols)):
+                    reached.add(("passed, then died", kind, arity > 1))
+                cols.clear()
+            return False
+
+        return [SimpleNamespace(isdisjoint=partial(isdisjoint, v))
+                for v in value_sets(level, arity)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -753,7 +790,8 @@ def test_repeated_probe_keys_match_reference():
                 for batch in BATCHES:
                     seeks.clear()
                     with mock.patch.object(executor, "BATCH", batch), \
-                            mock.patch.object(executor, "_seek", seek_spy):
+                            mock.patch.object(executor, "_seek", seek_spy), \
+                            mock.patch.object(executor, "_value_sets", value_sets_spy):
                         result, stats = execute(q, plan, rels, agg, policy, opts)
                     assert result.matches_reference(reference), (
                         policy.mode, opts.label(), batch, str(plan)
@@ -773,6 +811,8 @@ def test_repeated_probe_keys_match_reference():
 
     want = {("repeats", executor.BATCH), ("repeats", 3),
             ("dead, then live", 1), ("dead, then live", 3)}
+    want |= {("dropped", kind, tupled) for kind in ("hash", "sorted") for tupled in (False, True)}
+    want |= {("passed, then died", kind, True) for kind in ("hash", "sorted")}
     for _ in range(3):
         check()
         if want <= reached:

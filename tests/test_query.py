@@ -518,6 +518,32 @@ class TestHandBuiltHeads:
             assert result.matches_reference(reference)
 
 
+class TestHandBuiltBodies:
+    """A query body, a plan and a left-deep order built without the parsers:
+    a list of atoms or of nodes is stored as a tuple, so the query or plan
+    equals and hashes like the tuple-built one, and a bare string as an
+    order is refused rather than read as one relation per character."""
+
+    ATOMS = TestHandBuiltHeads.ATOMS
+    NODES = ((Subatom("R", ("a", "b")), Subatom("S", ("b",))), (Subatom("S", ("c",)),))
+
+    def test_list_atoms_are_a_tuple(self):
+        q = ConjunctiveQuery(("a", "c"), list(self.ATOMS))
+        assert q.atoms == self.ATOMS and q == ConjunctiveQuery(("a", "c"), self.ATOMS)
+        assert hash(q) == hash(ConjunctiveQuery(("a", "c"), self.ATOMS))
+
+    def test_list_nodes_are_tuples(self):
+        plan = FreeJoinPlan([list(node) for node in self.NODES])
+        assert plan.nodes == self.NODES and plan == FreeJoinPlan(self.NODES)
+        assert hash(plan) == hash(FreeJoinPlan(self.NODES))
+        assert plan == convert_left_deep(ConjunctiveQuery(("a", "c"), self.ATOMS), ["R", "S"])
+
+    def test_bare_string_order_refused(self):
+        q = ConjunctiveQuery(("a", "c"), self.ATOMS)
+        with pytest.raises(PlanError, match="left-deep order: .* not the string 'RS'"):
+            convert_left_deep(q, "RS")
+
+
 class TestAggregationSpec:
     def test_unknown_kind(self):
         # Once ran as a full result.
