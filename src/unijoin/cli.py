@@ -8,8 +8,9 @@ Subcommands:
 * ``gen-triangle`` -- write the adversarial triangle instance family to
   CSV files plus a ready-made catalog.
 
-Exit codes: 0 success, 1 load/execution error, 2 parse/validation error,
-3 verification failure.
+Exit codes: 0 success, 1 load/execution error (a plan too deep for the
+interpreter's per-node recursion among them), 2 parse/validation error,
+3 verification failure.  A text file's leading byte-order mark is ignored.
 
 Catalog file format, one relation per line (``#`` comments allowed)::
 
@@ -96,8 +97,9 @@ def load_catalog(path: str):
 
 
 def _read_text(path) -> str:
+    """A query, plan or catalog file's text, past a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise non_utf8_error(path) from None
 
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:  # the interpreter recurses once per plan node
+        print("error: the plan has too many nodes to run", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -25,23 +25,29 @@ relation's rows) that hold enough rows on average (``_slice_pays``), as one
 slice per leaf; each probe is one lookup per row, the same ``get`` on
 either dictionary kind (a sorted one bisects its keys), and rows that miss
 are dropped before the next.  A probe from a trie root whose last batch
-died, of either dictionary kind, first tests each key column of the batch
-against the root's values at that key position with one C-level
-``isdisjoint``, and drops the batch at the first column that meets none,
-before any per-row lookup: a run of dead batches costs a column test each
-and a live run none (the step is chosen from the last batch's outcome, as
-in Vectorwise's micro-adaptivity).  A sorted root is searched once per
-distinct key, in ascending order, each bisect starting where the last one
-ended (Leapfrog Triejoin's seek, Veldhuizen, ICDT 2014), and the rows look
-up the hits; one that finds none of the keys drops the batch.  A probe
-from a column of trie nodes looks each row up in its own node.  An
-expansion lists only the columns its node's probes read -- the trie nodes
-they start from, their key variables -- and the multiplicities.  Every other column it carries, a sliced bound
-column too, is a rider (late materialization, Abadi et al., ICDE 2007): a lazy iterator
-over the column's repeated values, which each probe that drops rows wraps
-in ``compress`` and which is listed only for the rows that survive every
-probe.  A batch that no row survives advances its riders past its rows in
-C, copying nothing.  An expansion is cut into batches of at most
+died, of either dictionary kind, first tests key columns of the batch
+against the root's values at their key positions with one C-level
+``isdisjoint`` each, the column that dropped the last batch first, and
+drops the batch at the first column that meets none, before any key tuple
+is built or any row looked up: a run of dead batches costs a column test
+each and a live run none (the step and its order are chosen from the last
+batch's outcome, as in Vectorwise's micro-adaptivity).  A sorted root is
+searched once per distinct key, in ascending order, each bisect starting
+where the last one ended (Leapfrog Triejoin's seek, Veldhuizen, ICDT
+2014), and the rows look up the hits; one that finds none of the keys
+drops the batch.  A probe from a column of trie nodes looks each row up in
+its own node.  A column is listed when first read, and a batch's cuts are
+advanced past its rows after it (late materialization, Abadi et al., ICDE
+2007): each column an expansion carries, a sliced bound column too, enters a
+batch as a stream, its ``islice`` cut of the column's repeated values.  A
+probe lists each column it reads (key columns, trie nodes, the
+multiplicities), as do the next node for the trie nodes it starts from and
+the result for its multiplicities and its tail's trie nodes; the next node's
+repeat chain and the result's rows read a column once, straight from its
+stream.  A probe that drops rows wraps every column in ``compress``, listed
+or not, and a column nobody reads is never copied.  After each batch, dead
+or alive, every cut is advanced past the batch's rows in C, which costs
+nothing for a cut already read.  An expansion is cut into batches of at most
 ``BATCH`` rows, each run through the rest of the plan before the next: the
 rows held per node stay bounded however far a join fans out, and results
 arrive in the order a row-at-a-time nested loop emits them, walking a hash
@@ -352,12 +358,21 @@ def _kept_offsets(col, keys: set, ranges: bool) -> list:
     return list(compress(range(len(col)), map(keys.__contains__, col)))
 
 
+def _listed(batch: dict, key):
+    """Column ``key`` of ``batch``, listed in place the first time it is
+    read while it is still a stream (an ``islice`` cut, or a ``compress``)."""
+    col = batch[key]
+    if iter(col) is col:
+        col = batch[key] = list(col)
+    return col
+
+
 def _keys(batch: dict, pvars: tuple, n: int):
     """A probe's keys over a batch of ``n`` rows: its one variable's
     column, else a tuple per row (the empty one for no variable)."""
     if len(pvars) == 1:
-        return batch[pvars[0]]
-    return zip(*map(batch.__getitem__, pvars)) if pvars else repeat((), n)
+        return _listed(batch, pvars[0])
+    return zip(*[_listed(batch, v) for v in pvars]) if pvars else repeat((), n)
 
 
 def _value_sets(level, arity: int) -> list:
@@ -539,22 +554,21 @@ def execute(
             suffix_start -= 1
     tail = nodes[suffix_start:]
 
-    # The columns that node ``ni``'s probes read, with the multiplicities
-    # (``reads``), and those that its probes, a later node or the result read
-    # (``needed``): an expansion carries only the latter.
+    # The columns that node ``ni``'s probes, a later node or the result read
+    # (``needed``): an expansion carries only those.
     live = {_MULT, *out_vars}.union(start for (start, _, _, _, _, _), _ in tail)
-    reads = [None] * suffix_start
     needed = [None] * suffix_start
     for ni in range(suffix_start - 1, -1, -1):
         (start, _, _, _, _, _), probes = nodes[ni]
-        reads[ni] = {_MULT}.union(*((pstart, *pvars) for pstart, _, pvars, _, _, _ in probes))
-        needed[ni] = live = live | reads[ni]
+        needed[ni] = live = live.union(*((pstart, *pvars) for pstart, _, pvars, _, _, _ in probes))
         live = live | {start}
 
     dead = set()  # the probes (by ``child``) whose last batch no row survived
-    values = {}  # a dead root probe's value set per key variable, by ``child``
+    # A dead root probe's (value set, key variable) pairs, by ``child``, the
+    # pair whose column dropped the last batch first.
+    values = {}
 
-    def probe(batch, n, probes, reads):
+    def probe(batch, n, probes):
         """Run ``probes`` in order over a batch of ``n`` rows, one lookup per
         row each, dropping a row that misses from every column, and return
         the rows left.  A lookup is ``get`` on a dictionary, whichever its
@@ -562,41 +576,42 @@ def execute(
         ``get`` over it, and a probe from the root maps a plain dict's:
         the root's hits among the batch's distinct keys (``_seek``) for a
         sorted root, a hash root itself.  When this probe's last batch
-        died, a root probe of either kind first tests each key column
-        against the root's values at that position (``_value_sets``, made
-        on the probe's first dead batch and kept for this call only), and
-        drops the batch at the first disjoint one.  A sorted root whose
-        seek finds none of the keys drops the batch too, before any per-row
+        died, a root probe of either kind first tests key columns against
+        the root's values at their positions (``_value_sets``, made on the
+        probe's first dead batch and kept for this call only), the column
+        that dropped the last batch first, and drops the batch at the first
+        disjoint one, before its keys are built.  A sorted root whose seek
+        finds none of the keys drops the batch too, before any per-row
         lookup.  A sorted level's comparisons are charged in bulk, before
         any row is dropped: ``k.bit_length()`` for each row whose lookup
-        met k keys, hit or miss, as a row-at-a-time loop counts them.  A column in ``reads``
-        (one a probe reads, or the multiplicities) is listed anew after a
-        drop; any other, a rider, is only wrapped in ``compress``, to be
-        listed by ``run`` if rows survive.  A probe adds the trie nodes it
-        reaches to the batch as a column, or, for an atom's last part,
-        multiplies the multiplicity column by the group sizes.  Lookups,
-        hits and comparisons go to ``ExecStats`` per probe."""
+        met k keys, hit or miss, as a row-at-a-time loop counts them.  A
+        column is listed when first read (``_listed``), and a drop wraps
+        every column, listed or not, in ``compress``.  A probe adds the trie
+        nodes it reaches to the batch as a column, or, for an atom's last
+        part, multiplies the multiplicity column by the group sizes.
+        Lookups, hits and comparisons go to ``ExecStats`` per probe."""
         for start, root, pvars, spec, child, _ in probes:
-            keys = _keys(batch, pvars, n)
             stats.probes += n
             if root.__class__ is SortedDict:
                 stats.comparisons += (len(root).bit_length() * n if start is None else sum(
-                    map(int.bit_length, map(len, map(attrgetter("keys"), batch[start])))))
+                    map(int.bit_length, map(len, map(attrgetter("keys"), _listed(batch, start))))))
             if start is None:
                 if child in dead:
                     if child not in values:
-                        values[child] = _value_sets(root, len(pvars))
-                    if any(v.isdisjoint(batch[var]) for v, var in zip(values[child], pvars)):
-                        return 0
+                        values[child] = list(zip(_value_sets(root, len(pvars)), pvars))
+                    for i, (v, var) in enumerate(values[child]):
+                        if v.isdisjoint(_listed(batch, var)):
+                            values[child].insert(0, values[child].pop(i))
+                            return 0
                 if root.__class__ is SortedDict:
-                    root = _seek(root, keys)
+                    root = _seek(root, _keys(batch, pvars, n))
                     if not root:
                         dead.add(child)
                         return 0
-                    keys = _keys(batch, pvars, n)
-                node = list(map(root.get, keys, repeat(_MISSING)))
+                node = list(map(root.get, _keys(batch, pvars, n), repeat(_MISSING)))
             else:
-                node = list(map(root.__class__.get, batch[start], keys, repeat(_MISSING)))
+                node = list(map(root.__class__.get, _listed(batch, start), _keys(batch, pvars, n),
+                                repeat(_MISSING)))
             miss = node.count(_MISSING)
             stats.probe_hits += n - miss
             if miss == n:
@@ -606,8 +621,7 @@ def execute(
             if miss:
                 keep = list(map(is_not, node, repeat(_MISSING)))
                 for key, col in batch.items():
-                    col = compress(col, keep)
-                    batch[key] = list(col) if key in reads else col
+                    batch[key] = compress(col, keep)
                 node = list(compress(node, keep))
                 n -= miss
             if spec is None:
@@ -627,10 +641,10 @@ def execute(
         leaf's least value instead of walking it.  A tail part that scans a
         relation has one group, which serves every row: it is read once per
         batch, and its size is charged per row."""
-        mults = batch.get(_MULT)
+        mults = _listed(batch, _MULT) if _MULT in batch else None
         least = {}
         for (start, root, bind, spec, _, weights), _ in tail:
-            groups = leaves_offsets([root] if start is None else batch[start], spec)
+            groups = leaves_offsets([root] if start is None else _listed(batch, start), spec)
             sizes = list(map(len, groups))
             if weights is not None or agg.kind == AGG_MIN:
                 get = gather(list(chain.from_iterable(groups)))
@@ -677,16 +691,16 @@ def execute(
         intermediates to ``ExecStats``.
 
         Each column the node carries is an iterator over the expanded rows:
-        a column of ``batch`` repeated per row, or, when ``_slice_pays``, a
-        range walk's bound column read one slice per leaf.  Per batch, the
-        columns in ``reads[ni]`` are listed before the probes run; the rest
-        ride as ``islice`` cuts, listed after them only when some row
-        survives, and otherwise advanced past the batch's rows unread."""
+        a column of ``batch``, listed or still a stream, repeated per row,
+        or, when ``_slice_pays``, a range walk's bound column read one
+        slice per leaf.  It enters each batch as its ``islice`` cut; a
+        column is listed when first read, and a batch's cuts are advanced
+        past its rows after it, so every carried iterator stays aligned."""
         if ni == suffix_start:
             finish(batch, n)
             return
         (start, root, bind, spec, child, weights), probes = nodes[ni]
-        starts = [root] * n if start is None else batch[start]
+        starts = [root] * n if start is None else _listed(batch, start)
         if spec is not None:
             groups = leaves_offsets(starts, spec)
             items = chain.from_iterable(groups)
@@ -702,17 +716,15 @@ def execute(
         sliced = (spec is not None and spec.kind == LEAF_RANGE
                   and _slice_pays(total, len(groups), len(bind) + (weights is not None)))
         if sliced:  # each range leaf is one run of rows: one slice per column
-            cuts = list(map(slice, map(attrgetter("start"), groups), map(attrgetter("stop"), groups)))
-            carried.update((v, chain.from_iterable(map(col.__getitem__, cuts))) for v, col in bind)
+            spans = list(map(slice, map(attrgetter("start"), groups), map(attrgetter("stop"), groups)))
+            carried.update((v, chain.from_iterable(map(col.__getitem__, spans))) for v, col in bind)
             if weights is not None:
-                weighs = chain.from_iterable(map(weights.__getitem__, cuts))
-        listed = [(key, col) for key, col in carried.items() if key in reads[ni]]
-        riders = [(key, col) for key, col in carried.items() if key not in reads[ni]]
+                weighs = chain.from_iterable(map(weights.__getitem__, spans))
         size = BATCH
         for done in range(0, total, size):
             cnt = min(size, total - done)
-            out = {key: list(islice(col, cnt)) for key, col in listed}
-            out.update((key, islice(col, cnt)) for key, col in riders)
+            cuts = {key: islice(col, cnt) for key, col in carried.items()}
+            out = dict(cuts)
             if spec is None:
                 keys, out[child] = zip(*islice(items, cnt))
                 out.update(zip(bind, (keys,) if len(bind) == 1 else zip(*keys)))
@@ -723,15 +735,14 @@ def execute(
             if weights is not None:
                 w = list(islice(weighs, cnt)) if sliced else get(weights)
                 out[_MULT] = list(map(mul, out[_MULT], w)) if _MULT in out else w
-            m = probe(out, cnt, probes, reads[ni])
+            m = probe(out, cnt, probes)
             if m:
-                for key, col in out.items():
-                    if iter(col) is col:  # a rider, or a column a probe cut lazily
-                        out[key] = list(col)
                 run(ni + 1, out, m)
-            else:  # advance the riders past the dead rows, in C
-                for _, col in riders:
-                    next(islice(col, cnt, cnt), None)
+            # Only this node's probes read a dead batch, and each lists or
+            # replaces what it reads, so a cut still in one is unread: its
+            # rows are skipped on the column itself, one C-level layer fewer.
+            for key, cut in cuts.items():
+                next(islice(carried[key] if not m and out[key] is cut else cut, cnt, cnt), None)
 
     t1 = time.perf_counter()
     run(0, {} if multiplier == 1 else {_MULT: [multiplier]}, 1)

@@ -239,7 +239,9 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     """Load a comma-separated file with a declared schema.
 
     ``schema`` is a list of (attr, kind) pairs with kind in {"int", "str"}.
-    No header row, no quoting, UTF-8.  Parse failures report row and column.
+    No header row, no quoting, UTF-8; a byte-order mark at the file's start
+    is skipped, and one anywhere else is data.  Parse failures report row
+    and column.
     A blank line is a row of one empty field: ``""`` under a one-column
     ``str`` schema, an error under any other.
 
@@ -269,7 +271,7 @@ def load_csv(path, name, schema, sorted_by=None) -> Relation:
     all_int = STR not in kinds
     cols = [[] for _ in attrs]
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             while text := fh.read(BLOCK) + fh.readline():
                 if text[-1] != "\n":  # the last line of a file without a final newline
                     text += "\n"
@@ -332,10 +334,11 @@ def non_utf8_error(path) -> LoadError:
 def _first_bad_line(path, check=None) -> LoadError | None:
     """The error for the first line of a text file that is not valid UTF-8
     or for which ``check`` returns a message; None if every line passes.
-    Lines are read in text mode, as every other reader does, so a lone
-    carriage return ends one too; each bad byte decodes to a lone
-    surrogate, which cannot be encoded back."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    Lines are read as every other reader reads them: in text mode, so a
+    lone carriage return ends one too, and past a leading byte-order mark.
+    Each bad byte decodes to a lone surrogate, which cannot be encoded
+    back."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")

@@ -1,5 +1,7 @@
 """Command-line driver: catalog parsing, run/gen-triangle, exit codes."""
 
+import codecs
+import inspect
 import json
 import os
 import subprocess
@@ -183,6 +185,27 @@ class TestRun:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{name}:2: not valid UTF-8" in err
 
+    @pytest.mark.parametrize("name", ["r.csv", "catalog.txt", "query.txt", "my.plan"])
+    def test_leading_byte_order_mark_is_ignored(self, workspace, capsys, name):
+        (workspace / "my.plan").write_text("R(x,y), S(y)\nS(z)\n")
+        args = ("--plan", f"file:{workspace / 'my.plan'}", "--check", "--stats", "none")
+        assert self.run(workspace, *args) == 0
+        plain = capsys.readouterr().out
+        path = workspace / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert self.run(workspace, *args) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_byte_order_mark_before_a_str_value(self, tmp_path, capsys):
+        # Read as data, the mark would make A's first value differ from B's.
+        (tmp_path / "a.csv").write_bytes(codecs.BOM_UTF8 + b"x\ny\n")
+        (tmp_path / "b.csv").write_text("x\n")
+        (tmp_path / "catalog.txt").write_text("A a.csv v:str\nB b.csv v:str\n")
+        (tmp_path / "query.txt").write_text("Q(v) :- A(v), B(v)\n")
+        assert self.run(tmp_path, "--check", "--stats", "none") == 0
+        out = capsys.readouterr().out
+        assert "cardinality=1" in out and "('x')" in out
+
     def test_malformed_min_head_exit_2(self, workspace, capsys):
         (workspace / "query.txt").write_text("Q(MIN(x) :- R(x,y), S(y,z)\n")
         assert self.run(workspace, "--check") == 2
@@ -300,6 +323,30 @@ def test_bad_flag_exit_2(workspace, capsys, command, flag, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_plan_too_deep_to_recurse_exit_1(tmp_path, capsys):
+    """The interpreter recurses once per plan node, so a chain longer than
+    the recursion limit allows is an execution error, not a traceback."""
+    k = 60
+    for i in range(k):
+        (tmp_path / f"r{i}.csv").write_text("0,0\n1,0\n1,1\n")
+    (tmp_path / "catalog.txt").write_text(
+        "".join(f"R{i} r{i}.csv a:int,b:int\n" for i in range(k)))
+    (tmp_path / "query.txt").write_text(
+        "Q(COUNT) :- " + ", ".join(f"R{i}(x{i},x{i + 1})" for i in range(k)) + "\n")
+    argv = ["run", "--catalog", str(tmp_path / "catalog.txt"),
+            "--query", str(tmp_path / "query.txt"), "--stats", "none"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"result kind=count value={k + 2}\n"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + k // 2)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    assert capsys.readouterr().err == "error: the plan has too many nodes to run\n"
 
 
 def test_python_dash_m_runs_the_cli():

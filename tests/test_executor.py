@@ -490,6 +490,99 @@ class TestDeadBatchColumns:
             assert looked_up == [row for i, block in enumerate(blocks) if i not in dropped
                                  for row in block], where
 
+
+class TestDeadBatchOrder:
+    """A run of dead batches, each dropped by the second column of T's key
+    tuple (a, b): R is scanned in blocks of ``BATCH`` rows, one batch each.
+    The first block dies in the lookup; each later dead block holds an a
+    that T holds and a b that it lacks.  The column that drops a batch is
+    tested first on the next, so after the first drop each dropped batch
+    makes one ``isdisjoint`` call, and a dropped batch builds no key
+    tuple.  The last block is live: it passes the test, b first."""
+
+    T_ROWS = TestDeadBatchColumns.T_ROWS  # a in {1, 2, 3, 9}, b in {5, 6, 7, 9}
+    BLOCKS = [(1, 6), (2, 8), (2, 10), (3, 8), (3, 11), (9, 9)]
+    DROPPED = set(BLOCKS[1:-1])
+
+    def run(self, policy, batch, monkeypatch):
+        monkeypatch.setattr(executor, "BATCH", batch)
+        q, agg = parse_query("Q(a,b) :- R(a,b), T(a,b)")
+        rows = [row for row in self.BLOCKS for _ in range(batch)]
+        rels = {
+            "R": Relation.from_rows("R", ("a", "b"), rows, sorted_by=("a", "b")),
+            "T": Relation.from_rows("T", ("a", "b"), self.T_ROWS, sorted_by=("a", "b")),
+        }
+        result, _ = execute(q, convert_left_deep(q, ("R", "T")), rels, agg,
+                            StructurePolicy(policy))
+        assert list(result.tuples.items()) == [((9, 9), batch)]
+
+    @pytest.mark.parametrize("batch", (1, 3, 1024))
+    @pytest.mark.parametrize("policy", ("hash", "hybrid", "sorted"))
+    def test_dropping_column_is_tested_first(self, policy, batch, monkeypatch):
+        tested = []  # the key position of each isdisjoint call, in order
+        value_sets = executor._value_sets
+
+        class Counted(set):
+            def isdisjoint(self, other):
+                tested.append(self.position)
+                return super().isdisjoint(other)
+
+        def counted(level, arity):
+            sets = [Counted(s) for s in value_sets(level, arity)]
+            for position, s in enumerate(sets):
+                s.position = position
+            return sets
+
+        monkeypatch.setattr(executor, "_value_sets", counted)
+        self.run(policy, batch, monkeypatch)
+        # a then b for the first drop, b alone for each of the three after
+        # it, and b then a for the live block
+        assert tested == [0, 1, 1, 1, 1, 1, 0], (policy, batch)
+
+    @pytest.mark.parametrize("batch", (1, 3, 1024))
+    @pytest.mark.parametrize("policy", ("hash", "hybrid", "sorted"))
+    def test_dropped_batch_builds_no_key_tuple(self, policy, batch, monkeypatch):
+        keyed = set()  # the rows of every batch whose key tuples were built
+        keys = executor._keys
+
+        def spy(batch_, pvars, n):
+            out = keys(batch_, pvars, n)
+            keyed.update(zip(*map(batch_.__getitem__, pvars)))
+            return out
+
+        monkeypatch.setattr(executor, "_keys", spy)
+        self.run(policy, batch, monkeypatch)
+        assert keyed == {self.BLOCKS[0], self.BLOCKS[-1]}, (policy, batch)
+
+
+class TestUnreadColumn:
+    """A chain whose head keeps its first variable: every node carries
+    that column, and none reads it until the result does.  Each R_i holds
+    (0, 0), (1, 1) and (1, 0), so an x0 of 0 reaches the end one way and
+    an x0 of 1 in k + 1 ways over k atoms."""
+
+    @staticmethod
+    def chain(k):
+        q, agg = parse_query("Q(x0) :- " + ", ".join(f"R{i}(x{i},x{i + 1})" for i in range(k)))
+        rows = [(0, 0), (1, 0), (1, 1)]
+        rels = {f"R{i}": Relation.from_rows(f"R{i}", ("a", "b"), rows, sorted_by=("a", "b"))
+                for i in range(k)}
+        return q, agg, rels
+
+    @pytest.mark.parametrize("k", (12, 300))
+    def test_matches_closed_form_and_nested_loop(self, k, monkeypatch):
+        q, agg, rels = self.chain(k)
+        want = {(0,): 1, (1,): k + 1}
+        if k <= 12:  # within the oracle's budget of 3**k row combinations
+            assert nested_loop(q, rels, agg) == want
+        binary = convert_left_deep(q, [a.relation for a in q.atoms])
+        for plan in (binary, optimize_plan(q, binary, MODE_FREEJOIN)):
+            for batch in (1, 3, 1024):
+                monkeypatch.setattr(executor, "BATCH", batch)
+                for policy in POLICIES:
+                    result, _ = execute(q, plan, rels, agg, policy)
+                    assert list(result.tuples.items()) == list(want.items()), (batch, policy)
+
 class TestToggles:
     def test_o4_replaces_offsets_with_counts(self):
         q, agg = parse_query("Q(x,a) :- R(x,a), T(x)")
@@ -1012,12 +1105,12 @@ class TestMultiplicityEntries:
 
 
 class TestRiders:
-    """A node lists only the columns its probes read (their start columns,
-    their key variables and the multiplicities); every other column it
-    carries rides along lazily, is cut by each probe that drops rows, and is
-    listed only for the rows that survive, or skipped past when none does.
-    In the plan below node 1 walks S's leaf and probes T, then U, so ``b``
-    rides past both probes, and ``a`` rides past node 0's probe of S.  Every
+    """A column is listed when first read, and a batch's cuts are advanced
+    past its rows after it: every column a node carries enters a batch as a
+    stream, each probe that drops rows cuts it, and only what reads it (a
+    probe, the next node or the result) lists it.  In the plan below node 1
+    walks S's leaf and probes T, then U, so ``b`` rides unread past both
+    probes, and ``a`` rides unread past node 0's probe of S.  Every
     relation is sorted and declares it, so each policy walks rows in the
     order a nested loop reads them, and a full result's tuples must come out
     in that order.  A walk of range leaves slices its columns only under

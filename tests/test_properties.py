@@ -446,9 +446,9 @@ def test_random_plans_match_reference():
     # returns rows, or the walk is the root's, which runs once whatever
     # follows.  With O3 off the plan runs as drawn, so its subatoms name the
     # built levels.  In ten seeded rounds of 150 examples, 9 to 23 drew such
-    # a walk; up to three rounds run, each drawing anew.  A column that no
-    # probe of a node reads rides along lazily; some example must have a
-    # probe drop rows from such a rider, at every batch size above one (a
+    # a walk; up to three rounds run, each drawing anew.  A column stays a
+    # stream until something reads it; some example must have a probe drop
+    # rows from a column no probe has read, at every batch size above one (a
     # one-row batch that misses is dropped whole); each of 15 seeded rounds
     # did.
     reached = set()
@@ -459,7 +459,7 @@ def test_random_plans_match_reference():
     cut = set()
 
     def cut_spy(data, selectors):
-        if data.__class__ is islice:  # a rider, not yet cut
+        if data.__class__ is islice:  # a column's cut, not yet read
             cut.add(executor.BATCH)
         return compress(data, selectors)
 
@@ -699,21 +699,27 @@ def repeating_keys(draw):
     the adversarial triangle.  R holds a fan of rows whose b S lacks, then
     a hub fan of rows on one b, then a matching of genuine triangles, in
     that order of a.  S repeats its hub row, so the hub fan expands into
-    (c, a) keys that each repeat and that T lacks.  Some of the matched
-    a values also get a crossed row on the hub's b: its (c, a) key meets
-    T's values in each column, yet T lacks it.  Values are ints, or strs
-    that sort as the ints do; the relations are sorted and declare it, or
-    neither.  A few drawn rows are added."""
+    (c, a) keys that each repeat and that T lacks: their c meets T's c
+    values, their a does not.  A switched fan between the hub fan and the
+    matching makes keys the other way round: T holds each of its a values,
+    under a c that no key reaches.  Some of the matched a values also get
+    a crossed row on the hub's b: its (c, a) key meets T's values in each
+    column, yet T lacks it.  Values are ints, or strs that sort as the
+    ints do; the relations are sorted and declare it, or neither.  A few
+    drawn rows are added."""
     cell = draw(st.sampled_from((int, "{:03d}".format)))
-    lost, hub, copies, matched = (draw(st.integers(lo, hi))
-                                  for lo, hi in ((0, 4), (1, 6), (1, 4), (1, 3)))
+    lost, hub, copies, switched, matched = (
+        draw(st.integers(lo, hi)) for lo, hi in ((0, 4), (1, 6), (1, 4), (0, 3), (1, 3)))
     crossed = draw(st.integers(0, matched))
     a = iter(range(100))
     r = ([(next(a), 90) for _ in range(lost)] + [(next(a), 0) for _ in range(hub)]
+         + [(next(a), 70) for _ in range(switched)]
          + [(next(a), 40 + j) for j in range(matched)])
-    s = [(0, 1)] * copies + [(40 + j, 60 + j) for j in range(matched)]
-    t = [(1, 99)] + [(60 + j, r[lost + hub + j][0]) for j in range(matched)]
-    r[lost + hub:lost + hub] = [(r[lost + hub + j][0], 0) for j in range(crossed)]
+    fans = lost + hub + switched
+    s = [(0, 1)] * copies + [(70, 97)] + [(40 + j, 60 + j) for j in range(matched)]
+    t = ([(1, 99)] + [(98, r[lost + hub + i][0]) for i in range(switched)]
+         + [(60 + j, r[fans + j][0]) for j in range(matched)])
+    r[fans:fans] = [(r[fans + j][0], 0) for j in range(crossed)]
     noise = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3)
     order = draw(st.booleans())
     rels = {}
@@ -739,8 +745,11 @@ def test_repeated_probe_keys_match_reference():
     # batch before finding something for a later one.  Under each
     # dictionary kind, a column test must drop a batch of one-variable keys
     # and one of key tuples, and a batch of key tuples must pass it and
-    # then die in the lookup (the crossed rows).  A batch of one-variable
-    # keys that passes has a key the root holds, so it cannot die.
+    # then die in the lookup (the crossed rows), and in a run of dead
+    # batches of key tuples the dropping column must change from one batch
+    # to the next (the hub fan, then the switched fan).  A batch of
+    # one-variable keys that passes has a key the root holds, so it cannot
+    # die.
     reached = set()
     counters = [f.name for f in fields(ExecStats) if not f.name.endswith("_ms")]
     seek, seeks = executor._seek, []  # (level, keys repeat, found any) per seek
@@ -754,26 +763,31 @@ def test_repeated_probe_keys_match_reference():
 
     def value_sets_spy(level, arity):
         """The root's value sets, each wrapped to record what its column
-        test decided: a batch dropped, or passed and, by the root's keys,
-        dead or live."""
+        test decided: a batch dropped, and by which key position, or passed
+        and, by the root's keys, dead or live."""
         kind = "sorted" if level.__class__ is SortedDict else "hash"
         keys = set(level.keys if kind == "sorted" else level.keys())
-        cols = []  # the batch's columns tested so far
+        cols = {}  # the batch's columns tested so far, by key position
+        last = []  # the key position that dropped the last batch, if one did
 
-        def isdisjoint(values, col):
-            cols.append(col)
+        def isdisjoint(values, position, col):
+            cols[position] = col
             if values.isdisjoint(col):
                 reached.add(("dropped", kind, arity > 1))
+                if last and last[0] != position:
+                    reached.add(("dropping column changed", kind))
+                last[:] = [position]
                 cols.clear()
                 return True
             if len(cols) == arity:
-                if keys.isdisjoint(cols[0] if arity == 1 else zip(*cols)):
+                if keys.isdisjoint(cols[0] if arity == 1 else zip(*map(cols.get, range(arity)))):
                     reached.add(("passed, then died", kind, arity > 1))
                 cols.clear()
+                last.clear()
             return False
 
-        return [SimpleNamespace(isdisjoint=partial(isdisjoint, v))
-                for v in value_sets(level, arity)]
+        return [SimpleNamespace(isdisjoint=partial(isdisjoint, v, i))
+                for i, v in enumerate(value_sets(level, arity))]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -813,6 +827,7 @@ def test_repeated_probe_keys_match_reference():
             ("dead, then live", 1), ("dead, then live", 3)}
     want |= {("dropped", kind, tupled) for kind in ("hash", "sorted") for tupled in (False, True)}
     want |= {("passed, then died", kind, True) for kind in ("hash", "sorted")}
+    want |= {("dropping column changed", kind) for kind in ("hash", "sorted")}
     for _ in range(3):
         check()
         if want <= reached:

@@ -1,6 +1,7 @@
 """Columnar relation construction, CSV loading, selection, and the
 adversarial triangle generator."""
 
+import codecs
 import json
 import sys
 from dataclasses import FrozenInstanceError
@@ -359,6 +360,27 @@ class TestLoadCsv:
         rel = load_csv(p, "R", [("a", "int"), ("b", kind)])
         want = [(1, pad), (2, "3")] if kind == "str" else [(1, int(pad)), (2, 3)]
         assert rel.rows() == want
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(codecs.BOM_UTF8 + b"x,1\ny,2\n")
+        assert load_csv(p, "R", [("a", "str"), ("b", "int")]).rows() == [("x", 1), ("y", 2)]
+        p.write_bytes(codecs.BOM_UTF8 + b"1,2\n3,4\n")
+        assert load_csv(p, "R", [("a", "int"), ("b", "int")]).rows() == [(1, 2), (3, 4)]
+        # An error past it still names its line.
+        p.write_bytes(codecs.BOM_UTF8 + b"1,2\n3,x\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, "R", [("a", "int"), ("b", "int")])
+        assert str(exc.value) == f"{p}:2: column 2 (b): 'x' is not an integer"
+
+    def test_byte_order_mark_past_the_start_is_data(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"x\n" + codecs.BOM_UTF8 + b"y\n")
+        assert load_csv(p, "R", [("a", "str")]).rows() == [("x",), ("\ufeffy",)]
+        p.write_bytes(codecs.BOM_UTF8 + b"1\n" + codecs.BOM_UTF8 + b"2\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, "R", [("a", "int")])
+        assert str(exc.value) == f"{p}:2: column 1 (a): '\\ufeff2' is not an integer"
 
     def test_empty_schema(self, tmp_path):
         p = tmp_path / "r.csv"
